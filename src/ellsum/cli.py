@@ -7,8 +7,8 @@ Subcommands:
   list      print the identity catalog (id, arity, balancing constraint)
   selftest  run the theta / shifted-factorial / ratio / interpolation
             property suites
-  bench     time the left-side evaluator with and without memoization
-            over growing N, reporting terms/second
+  bench     time the left-side evaluator over growing N, reporting
+            microseconds per evaluation and terms/second
 
 Exit codes: 0 = verified, 1 = mathematical failure, 2 = usage or
 configuration error (including I/O problems writing the report).
@@ -284,13 +284,10 @@ def _cmd_bench(args) -> int:
     config = SampleConfig(seed=args.seed)
     rows = run_bench(args.identity, n=args.n, N_values=N_values,
                      config=config, p=p)
-    print(f"{'N':>4} {'terms':>7} {'memoized terms/s':>18} {'plain terms/s':>15} "
-          f"{'speedup':>8}")
+    print(f"{'N':>4} {'terms':>7} {'us/eval':>10} {'terms/s':>12}")
     for row in rows:
-        speedup = row["plain_seconds"] / row["memoized_seconds"]
-        print(f"{row['N']:>4} {row['terms']:>7} "
-              f"{row['memoized_terms_per_second']:>18.1f} "
-              f"{row['plain_terms_per_second']:>15.1f} {speedup:>7.2f}x")
+        print(f"{row['N']:>4} {row['terms']:>7} {row['seconds'] * 1e6:>10.1f} "
+              f"{row['terms_per_second']:>12.1f}")
     return 0
 
 

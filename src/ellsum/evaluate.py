@@ -1,141 +1,70 @@
 """Left- and right-hand-side evaluators for every identity in the catalog.
 
-Each summand transcribes the display form of its identity.  Parity-dependent
-pieces branch on n mod 2 inside one evaluator, so sweeping n exercises both
-branches of the same code path.  Terms are accumulated with Kahan
-compensation (cancellation between large theta products is the dominant
-error source) and each evaluation reports the largest |term| it saw, so
-callers can form the cancellation diagnostic max|term| / |sum|.
+Each side of each identity is data: a Side names its summation domain and
+lists its factors as display-form strings, with parity branches where the
+closed form depends on n mod 2.  A factor string reads
 
-Theta and shifted-factorial values are memoized per evaluation call, keyed
-by the complex argument (and shift).  Adjacent summation indices share most
-factors, so this turns the per-term cost from O(number of theta factors)
-into a handful of cache hits.  Caches never outlive the call.
+    [1/]theta(B1, B2; S)    theta(B q^S) for each base B (S = 0 if omitted)
+    [1/](B1, B2)_S          the shifted factorial (B)_S with step q
+    [1/](B)^S               the monomial B^S
+    ... for i | i<j | i!=j | i,j    a product over z indices
 
-All denominator factors run through pole guards: an exactly vanishing
-factor raises PoleError with the summation index and a factor description;
-when a positive pole floor is supplied (the sampler's rejection gate), any
-denominator theta with modulus below the floor raises PoleError(near=True).
+where a base is a monomial in the parameters, q, Z, lam and z_i, z_j
+("a q^(N+1) / e z_i") and a shift an integer form in |x|, x_i, x_j, N, N_i,
+N_j ("|x|-x_i", "x_i*x_j").  An evaluation runs in three steps:
+
+  * plan (built on first use, then cached): per (side, indices, N or box),
+    every theta argument B q^j some term multiplies, the shifted-factorial
+    tables built from them, and each term's table slots;
+  * batch: all theta arguments of the side in one vectorised call, then
+    each table (B)_0 .. (B)_K by a running product;
+  * assemble: gather each term from the tables and sum the terms with
+    math.fsum on the real and imaginary parts; numpy gathers large sums,
+    Python small ones.
+
+Assembly is range-safe: every value is carried as a mantissa of modulus in
+[1/2, 1) and a separate binary exponent, so a product of a hundred factors
+near 1e200 neither overflows nor underflows; only the sum returns to a float.
+
+A draw is rejected for a pole when some term uses a denominator theta
+factor of modulus below the pole floor (or zero); PoleError names the factor
+and the first summation index that uses it.  Each evaluation returns the
+sum and the largest |term|, for the cancellation diagnostic max|term|/|sum|.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Callable, Iterable
+import math
+import re
+from dataclasses import dataclass
+from itertools import product
+from typing import Callable
 
-from .catalog import IdentityInstance
+import numpy as np
+
+from .catalog import SCALAR_N, IdentityInstance
 from .errors import NonFiniteError, PoleError
 from .kernels import box_indices, compositions_bounded, compositions_exact
-from .theta import EllipticNome, ipow, theta
+from .theta import EllipticNome, theta
 
-_INF = float("inf")
-
-# ---------------------------------------------------------------------------
-# Evaluation context: memoization, pole guards, compensated accumulation
-# ---------------------------------------------------------------------------
+#: Sums with at least this many terms are gathered with numpy, fewer in Python.
+NUMPY_TERMS = 12
 
 
 class EvalContext:
-    """Per-evaluation scratch state: caches, pole floor, current index."""
+    """Per-evaluation state: the nome and the pole floor."""
 
-    __slots__ = ("nome", "q", "pole_floor", "index",
-                 "_theta_cache", "_poch_cache", "_qpow_cache")
+    __slots__ = ("nome", "q", "pole_floor")
 
-    def __init__(self, nome: EllipticNome, *, memoize: bool = True,
-                 pole_floor: float = 0.0):
+    def __init__(self, nome: EllipticNome, *, pole_floor: float = 0.0):
         self.nome = nome
         self.q = nome.q
         self.pole_floor = pole_floor
-        self.index = None
-        self._theta_cache: dict | None = {} if memoize else None
-        self._poch_cache: dict | None = {} if memoize else None
-        self._qpow_cache: dict | None = {} if memoize else None
 
-    def qpow(self, k: int) -> complex:
-        cache = self._qpow_cache
-        if cache is None:
-            return ipow(self.q, k)
-        value = cache.get(k)
-        if value is None:
-            value = ipow(self.q, k)
-            cache[k] = value
-        return value
-
-    def theta(self, z: complex) -> complex:
-        cache = self._theta_cache
-        if cache is None:
-            return theta(z, self.nome)
-        value = cache.get(z)
-        if value is None:
-            value = theta(z, self.nome)
-            cache[z] = value
-        return value
-
-    def _poch_entry(self, z: complex, k: int) -> tuple[complex, float]:
-        """(value, min |factor|) of (z)_k for k >= 0, built incrementally."""
-        cache = self._poch_cache
-        if cache is not None:
-            hit = cache.get((z, k))
-            if hit is not None:
-                return hit
-        if k == 0:
-            entry = (complex(1.0), _INF)
-        elif cache is not None:
-            prev_value, prev_min = self._poch_entry(z, k - 1)
-            factor = self.theta(z * self.qpow(k - 1))
-            entry = (prev_value * factor, min(prev_min, abs(factor)))
-        else:
-            value = complex(1.0)
-            min_abs = _INF
-            w = z
-            for _ in range(k):
-                factor = theta(w, self.nome)
-                value *= factor
-                min_abs = min(min_abs, abs(factor))
-                w *= self.q
-            entry = (value, min_abs)
-        if cache is not None:
-            cache[(z, k)] = entry
-        return entry
-
-    def poch(self, z: complex, k: int) -> complex:
-        """(z)_k for k >= 0 in numerator position (no pole guard)."""
-        return self._poch_entry(z, k)[0]
-
-    def den_theta(self, z: complex, what: str) -> complex:
-        """theta(z) destined for a denominator; guards against (near-)zeros."""
-        value = self.theta(z)
-        magnitude = abs(value)
-        if magnitude == 0.0:
-            raise PoleError(what, index=self.index)
-        if 0.0 < self.pole_floor and magnitude < self.pole_floor:
-            raise PoleError(what, near=True, index=self.index)
-        return value
-
-    def den_poch(self, z: complex, k: int, what: str) -> complex:
-        """(z)_k destined for a denominator; every factor is guarded."""
-        value, min_abs = self._poch_entry(z, k)
-        if min_abs == 0.0:
-            raise PoleError(what, index=self.index)
-        if 0.0 < self.pole_floor and min_abs < self.pole_floor:
-            raise PoleError(what, near=True, index=self.index)
-        return value
-
-
-class _KahanSum:
-    """Compensated complex accumulator."""
-
-    __slots__ = ("value", "_carry")
-
-    def __init__(self):
-        self.value = complex(0.0)
-        self._carry = complex(0.0)
-
-    def add(self, term: complex):
-        y = term - self._carry
-        t = self.value + y
-        self._carry = (t - self.value) - y
-        self.value = t
+    def theta(self, z: np.ndarray) -> np.ndarray:
+        """theta of every argument in one batch."""
+        return theta(z, self.nome)
 
 
 def relative_error(lhs: complex, rhs: complex) -> float:
@@ -144,876 +73,453 @@ def relative_error(lhs: complex, rhs: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared summand building blocks
+# Identities as factor specs
 # ---------------------------------------------------------------------------
 
 
-def _delta_ratio(ctx: EvalContext, z, x) -> complex:
-    """Cached A-type ratio prod_{i<j} q^{x_i} theta(q^{x_j-x_i} z_j/z_i)/theta(z_j/z_i)."""
-    n = len(z)
-    result = complex(1.0)
-    for i in range(n - 1):
-        xi = x[i]
-        zi = z[i]
-        for j in range(i + 1, n):
-            ratio = z[j] / zi
-            den = ctx.den_theta(ratio, f"theta(z[{j}]/z[{i}])")
-            result *= ctx.qpow(xi) * ctx.theta(ctx.qpow(x[j] - xi) * ratio) / den
-    return result
+# Summation domains by the index set they run over; the enumerators are looked
+# up on every call.  A closed side is a sum over the single empty index.
+DOMAINS: dict[str, Callable] = {
+    "0<=x<=N": lambda inst: range(inst.N + 1),
+    "|x|=N": lambda inst: compositions_exact(inst.N, len(inst.z)),
+    "|x|<=N": lambda inst: compositions_bounded(inst.N, len(inst.z)),
+    "|x|=1": lambda inst: compositions_exact(1, len(inst.z)),
+    "x<=N_i": lambda inst: box_indices(inst.box),
+    "x=()": lambda inst: ((),),
+}
 
 
-def _pair_poch(ctx: EvalContext, z, x) -> complex:
-    """prod_{i<j} (z_i z_j)_{x_i + x_j}."""
-    n = len(z)
-    result = complex(1.0)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            result *= ctx.poch(z[i] * z[j], x[i] + x[j])
-    return result
+@dataclass(frozen=True)
+class Side:
+    """One side of an identity: a DOMAINS key and its factor strings."""
+
+    domain: str
+    common: tuple[str, ...]
+    odd: tuple[str, ...] = ()
+    even: tuple[str, ...] = ()
 
 
-def _cross_poch_den(ctx: EvalContext, z, x) -> complex:
-    """prod_i prod_j (q z_i / z_j)_{x_i}, guarded (denominator of every sum)."""
-    n = len(z)
-    result = complex(1.0)
-    q = ctx.q
-    for i in range(n):
-        xi = x[i]
-        if xi == 0:
+# Blocks several sides share: the A-type theta-Vandermonde ratio
+# prod_{i<j} q^{x_i} theta(q^{x_j-x_i} z_j/z_i) / theta(z_j/z_i), the pair and
+# cross factors, and the well-poised parts in a, a z_i and lam.
+_DELTA = ("theta(z_j / z_i; x_j-x_i) for i<j", "1/theta(z_j / z_i) for i<j", "(q)^x_i for i<j")
+_PAIR = ("(z_i z_j)_x_i+x_j for i<j",)
+_CROSS = ("1/(q z_i / z_j)_x_i for i,j",)
+_WELL_POISED = ("theta(a; 2|x|)", "1/theta(a)", "(q)^|x|")
+_A_Z = ("theta(a z_i; |x|+x_i) for i", "1/theta(a z_i) for i", "(a z_i)_|x| for i",
+        "1/(a q / z_i)_|x|-x_i for i", "(q)^|x|")
+_LAM = ("theta(lam; 2|x|)", "1/theta(lam)", "(lam b / a z_i)_|x| for i",
+        "1/(lam b / a z_i)_|x|-x_i for i", "(q)^|x|")
+_JACKSON_RHS = ("(a q, a q / b c, a q / b d, a q / c d)_N",
+                "1/(a q / b, a q / c, a q / d, a q / b c d)_N")
+
+SIDES: dict[str, tuple[Side, Side]] = {
+    "frenkel-turaev": (
+        Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, q^(-N))_|x|",
+                              "1/(q, a q / b, a q / c, a q / d, a q / e, a q^(N+1))_|x|")),
+        Side("x=()", _JACKSON_RHS)),
+    "elliptic-bailey": (
+        Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, f, g, q^(-N))_|x|",
+                              "1/(q, a q / b, a q / c, a q / d, a q / e, a q / f, a q / g,"
+                              " a q^(N+1))_|x|")),
+        Side("0<=x<=N", (
+            "(a q, a q / e f, lam q / e, lam q / f)_N",
+            "1/(lam q, lam q / e f, a q / e, a q / f)_N",
+            "theta(lam; 2|x|)", "1/theta(lam)", "(q)^|x|",
+            "(lam, lam b / a, lam c / a, lam d / a, e, f, g, q^(-N))_|x|",
+            "1/(q, a q / b, a q / c, a q / d, lam q / e, lam q / f, lam q / g,"
+            " lam q^(N+1))_|x|"))),
+    "rs-jackson": (
+        Side("x<=N_i", (
+            *_DELTA, *_WELL_POISED, "(a, b, c)_|x|", "(d / z_i)_|x| for i",
+            "1/(a q / b, a q / c, a q^(N+1))_|x|", "1/(a q^(N+1-N_i) / e z_i)_|x| for i",
+            "(a q^(N+1) / e z_i)_|x|-x_i for i", "(e z_i)_x_i for i",
+            "(q^(-N_j) z_i / z_j)_x_i for i,j", "1/(d / z_i)_|x|-x_i for i",
+            "1/(a q z_i / d)_x_i for i", *_CROSS)),
+        Side("x=()", (
+            "(a q, a q / b c)_N", "1/(a q / b, a q / c)_N",
+            "(a q z_i / b d, a q z_i / c d)_N_i for i",
+            "1/(a q z_i / d, a q z_i / b c d)_N_i for i"))),
+    "theta-lemma": (
+        # x is a unit vector e_k, so (B)_x_i is theta(B) at i = k and 1 elsewhere.
+        Side("|x|=1", ("(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
+                            "(z_i z_j)_x_i for i!=j", "1/(z_i / z_j)_x_i for i!=j")),
+        Side("x=()", (),
+             odd=("theta(Z b1, Z b2, Z b3, Z b4)", "(Z)^-1"),
+             even=("theta(Z, Z b1 b2, Z b1 b3, Z b1 b4)", "(Z b1)^-1"))),
+    "gr-sum": (
+        Side("|x|=N", (*_DELTA, "(q)^x_i*x_j for i<j", *_PAIR,
+                             "(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
+                             *_CROSS)),
+        Side("x=()", ("1/(q)_N",),
+             odd=("(Z b1, Z b2, Z b3, Z b4)_N", "(Z)^-N"),
+             even=("(Z, Z b1 b2, Z b1 b3, Z b1 b4)_N", "(Z b1)^-N"))),
+    "gr-corollary": (
+        Side("|x|<=N", (
+            *_DELTA, *_A_Z, *_PAIR, "(q^(-N))_|x|",
+            "1/(a q / b1, a q / b2, a q / b3, a q / b4)_|x|",
+            "(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "1/(a q^(N+1) z_i)_x_i for i",
+            *_CROSS)),
+        Side("x=()", (
+            "(a q z_i)_N for i", "1/(a q / b1, a q / b2, a q / b3, a q / b1 b2 b3 Z^2)_N",
+            "1/(a q / z_i)_N for i"),
+            odd=("(a q / Z, a q / b1 b2 Z, a q / b1 b3 Z, a q / b2 b3 Z)_N",),
+            even=("(a q / b1 Z, a q / b2 Z, a q / b3 Z, a q / b1 b2 b3 Z)_N",))),
+    "bt-transform": (
+        Side("|x|<=N", (
+            *_DELTA, *_A_Z, *_PAIR, "(q^(-N), b)_|x|",
+            "1/(a q / c, a q / d, a q / e, a q / f, a q / g)_|x|",
+            "(c z_i, d z_i, e z_i, f z_i, g z_i)_x_i for i",
+            "1/(a q^(N+1) z_i, a q z_i / b)_x_i for i", *_CROSS)),
+        Side("|x|<=N", (
+            "(Z)^N", "(a q z_i)_N for i", "1/(lam q, a q / e, a q / f, a q / g)_N",
+            "1/(a q / z_i)_N for i",
+            *_DELTA, *_LAM, *_PAIR, "(lam, q^(-N), lam c / a, lam d / a)_|x|",
+            "1/(lam q^(N+1), a q / c, a q / d)_|x|",
+            "(e z_i, f z_i, g z_i, q^(-N) z_i / a)_x_i for i", "1/(a q z_i / b)_x_i for i",
+            *_CROSS),
+            odd=("(a / lam)^N", "(a q / Z, lam q / e Z, lam q / f Z, lam q / g Z)_N",
+                 "1/(q^(-N) Z / a, lam q / e Z, lam q / f Z, lam q / g Z)_|x|"),
+            even=("(lam q / Z, a q / e Z, a q / f Z, a q / g Z)_N",
+                  "1/(lam q / Z, lam q / e f Z, lam q / e g Z, lam q / f g Z)_|x|"))),
+    "bc-transform": (
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "1/(b / z_i)_|x|-x_i for i",
+            "(a, q^(-N), c, d)_|x|", "(b / z_i)_|x| for i",
+            "1/(a q^(N+1), a q / c, a q / d)_|x|",
+            "(e z_i, f z_i, g z_i, a q z_i / e f g Z^2)_x_i for i",
+            "1/(a q z_i / b)_x_i for i", *_CROSS),
+            odd=("1/(a q / e Z, a q / f Z, a q / g Z, a q / e f g Z)_|x|",),
+            even=("1/(a q / Z, a q / e f Z, a q / e g Z, a q / f g Z)_|x|",)),
+        Side("|x|<=N", (
+            "(a q, lam q / c)_N", "1/(lam q, a q / c)_N",
+            *_DELTA, *_LAM, *_PAIR, "(lam, q^(-N), c, lam d / a)_|x|",
+            "1/(lam q^(N+1), lam q / c, a q / d)_|x|",
+            "(lam e z_i / a, f z_i, g z_i, a q z_i / e f g Z^2)_x_i for i",
+            "1/(a q z_i / b)_x_i for i", *_CROSS),
+            odd=("(a q / c f Z, lam q / f Z)_N", "1/(a q / f Z, lam q / c f Z)_N",
+                 "1/(a q / e Z, lam q / f Z, lam q / g Z, a q / e f g Z)_|x|"),
+            even=("(a q / c Z, lam q / Z)_N", "1/(a q / Z, lam q / c Z)_N",
+                  "1/(lam q / Z, a q / e f Z, a q / e g Z, lam q / f g Z)_|x|"))),
+    "njc-jackson": (
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "1/(e / z_i)_|x|-x_i for i", "(a, q^(-N))_|x|",
+            "(e / z_i)_|x| for i", "1/(a q^(N+1))_|x|",
+            "(b z_i, c z_i, d z_i, q^(-N) e z_i / a)_x_i for i",
+            "1/(a q z_i / e)_x_i for i", *_CROSS),
+            odd=("1/(q^(-N) e Z / a, a q / b Z, a q / c Z, a q / d Z)_|x|",),
+            even=("1/(a q / Z, a q / b c Z, a q / b d Z, a q / c d Z)_|x|",)),
+        Side("x=()", (
+            "(a q, a q / b e, a q / c e, a q / d e)_N", "(a q / e z_i)_N for i", "(Z)^-N",
+            "1/(a q z_i / e)_N for i"),
+            odd=("(e)^N", "1/(a q / b Z, a q / c Z, a q / d Z, a q / e Z)_N"),
+            even=("1/(a q / Z, a q / b e Z, a q / c e Z, a q / d e Z)_N",))),
+    "jts-jackson": (
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "1/(t / z_i)_|x|-x_i for i",
+            "(a, q^(-N), b, c)_|x|", "(t / z_i)_|x| for i",
+            "1/(a q^(N+1), a q / b, a q / c)_|x|",
+            "(d z_i, e z_i, t z_i / d e Z^2)_x_i for i", *_CROSS),
+            odd=("1/(a q / d Z, a q / e Z, t / Z, t / d e Z)_|x|",),
+            even=("1/(a q / Z, a q / d e Z, t / d Z, t / e Z)_|x|",)),
+        Side("x=()", ("(a q, a q / b c)_N", "1/(a q / b, a q / c)_N"),
+             odd=("(a q / b d Z, a q / c d Z)_N", "1/(a q / d Z, a q / b c d Z)_N"),
+             even=("(a q / b Z, a q / c Z)_N", "1/(a q / Z, a q / b c Z)_N"))),
+    "general-jackson": (
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "(a, q^(-N), b, c, d, e)_|x|",
+            "1/(a q^(N+1), a q / b, a q / c, a q / d, a q / e)_|x|",
+            "(t / z_i)_|x| for i", "(f z_i, g z_i, h z_i)_x_i for i",
+            "1/(t / z_i)_|x|-x_i for i", *_CROSS),
+            odd=("1/(f Z, g Z, h Z, t / Z)_|x|",),
+            even=("1/(Z, f g Z, f h Z, g h Z)_|x|",)),
+        Side("x=()", _JACKSON_RHS)),
+}
+
+
+# ---------------------------------------------------------------------------
+# Plan
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Factor:
+    kind: str  # "theta", "poch" or "pow"
+    base: str
+    shift: str
+    den: bool
+    over: str  # "", "i", "i<j", "i!=j" or "i,j"
+
+    def label(self, env) -> str:
+        text = {"theta": "theta({0}; {1})", "poch": "({0})_({1})", "pow": "({0})^({1})"}
+        return _bind(text[self.kind].format(self.base, self.shift), env)
+
+
+_FACTOR = r"(1/)?(theta)?\((.*)\)([_^]?)(\S*)(?: for (\S+))?$"
+_TOKEN = r"(\w+)(?:\^\(?([^)\s]+)\)?)?"
+_TERM = r"([+-]?)(\d*)([^+-]*)"
+
+
+def _bind(text: str, env: dict) -> str:
+    """Substitute the bound z indices: 'z_i / z_j' -> 'z_2 / z_0'."""
+    return re.sub(r"_([ij])\b", lambda m: f"_{env[m.group(1)]}", text)
+
+
+def _parse(text: str) -> list[Factor]:
+    den, is_theta, inner, mark, shift, over = re.match(_FACTOR, text).groups()
+    kind = "theta" if is_theta else "poch" if mark == "_" else "pow"
+    if is_theta:
+        inner, _, shift = inner.partition("; ")
+    return [Factor(kind, base.strip(), shift or "0", bool(den), over or "")
+            for base in inner.split(",")]
+
+
+def _form(text: str, env: dict):
+    """Value of an integer form such as 'N+1-N_i' or 'x_i*x_j' (ints or arrays)."""
+    total = 0
+    for sign, coefficient, names in re.findall(_TERM, text):
+        if not (coefficient or names):
             continue
-        zi = z[i]
-        for j in range(n):
-            result *= ctx.den_poch(q * zi / z[j], xi, f"(q z[{i}]/z[{j}])_x")
-    return result
+        value = -int(coefficient or 1) if sign == "-" else int(coefficient or 1)
+        for name in filter(None, names.split("*")):
+            value = value * env[name]
+        total = total + value
+    return total
+
+
+def _monomial(text: str, env: dict, symbols: dict) -> dict[int, int]:
+    """{symbol index: exponent} of a base such as 'a q^(N+1) / e z_i'."""
+    out: dict[int, int] = {}
+    numerator, _, denominator = text.partition("/")
+    for sign, part in ((1, numerator), (-1, denominator)):
+        for name, power in re.findall(_TOKEN, part):
+            key = symbols[_bind(name, env)]
+            out[key] = out.get(key, 0) + sign * (_form(power, env) if power else 1)
+    return {k: e for k, e in out.items() if e}
+
+
+def _symbol_names(entry, n: int) -> list[str]:
+    names = [*entry.params, "q"]
+    if entry.arity != SCALAR_N:
+        names += ["Z", *(f"z_{k}" for k in range(n))]
+    return names + (["lam"] if entry.lambda_rule else [])
+
+
+def _symbol_values(inst: IdentityInstance) -> list[complex]:
+    values = [*map(inst.params.__getitem__, inst.entry.params), inst.nome.q]
+    if inst.z is not None:
+        values += [inst.Z, *inst.z]
+    return values + ([inst.lam] if inst.entry.lambda_rule else [])
+
+
+def _bindings(over: str, n: int) -> list[dict]:
+    if not over:
+        return [{}]
+    if over == "i":
+        return [{"i": i} for i in range(n)]
+    keep = {"i<j": int.__lt__, "i!=j": int.__ne__, "i,j": lambda i, j: True}[over]
+    return [{"i": i, "j": j} for i, j in product(range(n), repeat=2) if keep(i, j)]
+
+
+class _Plan:
+    """Everything about a side's evaluation that does not depend on values."""
+
+    def __init__(self, side: Side, inst: IdentityInstance, xs: tuple, detail=False):
+        n = len(inst.z) if inst.z is not None else 1
+        symbols = {name: k for k, name in enumerate(_symbol_names(inst.entry, n))}
+        count = len(xs)
+        x = np.array(xs, dtype=np.int64).reshape(count, -1)
+        if not x.size:  # the empty index of a closed side is x = 0
+            x = np.zeros((count, n), dtype=np.int64)
+        bases: dict[tuple, int] = {}  # monomial -> index; q apart for theta arguments
+        uses = []  # (factor, env, base, q offset, shift per term)
+        pows: dict[int, np.ndarray] = {}  # base -> total exponent per term
+        for factor in (f for text in (*side.common, *(side.odd if n % 2 else side.even))
+                       for f in _parse(text)):
+            for binding in _bindings(factor.over, n):
+                env = {"|x|": x.sum(axis=1), "N": inst.level, **binding}
+                for key, index in binding.items():
+                    env[f"x_{key}"] = x[:, index]
+                    if inst.box is not None:
+                        env[f"N_{key}"] = inst.box[index]
+                mono = _monomial(factor.base, env, symbols)
+                shift = np.broadcast_to(_form(factor.shift, env), (count,))
+                offset = 0 if factor.kind == "pow" else mono.pop(symbols["q"], 0)
+                b = bases.setdefault(tuple(sorted(mono.items())), len(bases))
+                if factor.kind == "pow":
+                    pows[b] = pows.get(b, 0) + (-shift if factor.den else shift)
+                else:
+                    uses.append((factor, env, b, offset, shift))
+
+        # theta arguments B q^j: exactly those some term multiplies
+        needed: dict[int, set] = {}
+        lengths: dict[tuple, int] = {}  # (base, q offset) -> longest shifted factorial
+        for factor, _, b, offset, shift in uses:
+            if factor.kind == "poch":
+                lengths[b, offset] = max(lengths.get((b, offset), 0), int(shift.max()))
+                needed.setdefault(b, set()).update(range(offset, offset + lengths[b, offset]))
+            else:
+                needed.setdefault(b, set()).update((offset + shift).tolist())
+        args = [(b, j) for b in sorted(needed) for j in sorted(needed[b])]
+        arg_of = {key: k for k, key in enumerate(args)}
+        self.arg_base, self.arg_q = np.array(args, dtype=np.intp).reshape(-1, 2).T.copy()
+        powers = sorted({(b, k) for b, e in pows.items() for k in set(e.tolist())})
+        # monomials to evaluate: every base, then every power B^k the terms use
+        monomials = list(bases)
+        monomials += [tuple((s, e * k) for s, e in monomials[b]) for b, k in powers]
+        width = max(map(len, monomials), default=0)
+        padded = np.array([[*m, *[(0, 0)] * (width - len(m))] for m in monomials], np.intp)
+        self.mono_sym, self.mono_exp = np.moveaxis(padded.reshape(len(monomials), width, 2), 2, 0)
+        self.base_count = len(bases)
+
+        # value slots: theta values, powers, 1, then (B)_2 .. (B)_K of each run;
+        # (B)_1 is the theta value theta(B) itself
+        pow_slot = {key: len(args) + k for k, key in enumerate(powers)}
+        one = len(args) + len(powers)
+        slot, run_slot, runs = one + 1, {}, {}
+        for (b, offset), length in sorted(lengths.items()):  # a run's args are contiguous
+            first = arg_of.get((b, offset), 0)
+            runs[b, offset] = range(first, first + length)
+            run_slot[b, offset], slot = slot, slot + max(length - 1, 0)
+
+        num, den, den_args, den_uses = [], [], set(), []
+        for factor, env, b, offset, shift in uses:
+            if factor.kind == "poch":
+                slots = np.select([shift == 0, shift == 1], [one, runs[b, offset].start],
+                                  run_slot[b, offset] + shift - 2)
+                run = runs[b, offset][:int(shift.max())]
+                touched, use = run, (factor.label(env), run, shift)
+            else:
+                slots = np.array([arg_of[b, offset + s] for s in shift.tolist()])
+                touched, use = slots.tolist(), (factor.label(env), None, slots)
+            if factor.den:
+                den_args.update(touched)
+                den_uses.append(use)
+            (den if factor.den else num).append(slots)
+        num += [np.array([pow_slot[b, k] for k in e.tolist()])
+                for b, e in pows.items() if np.any(e)]
+        self.den_args = np.array(sorted(den_args), dtype=np.intp)
+        self.den_uses = den_uses if detail else None  # (label, run, per term) for errors
+        self.runs = [(r.start, r.stop) for r in runs.values() if len(r) > 1]
+        dtype = np.int16 if slot < 2 ** 15 else np.int32
+        self.const_num, self.num = _split_constant(num, count, dtype)
+        self.const_den, self.den = _split_constant(den, count, dtype)
+
+
+def _split_constant(columns: list, count: int, dtype) -> tuple[tuple, np.ndarray]:
+    """(slots every term shares, per-term slot matrix of the rest)."""
+    matrix = np.array(columns, dtype=np.intp).reshape(len(columns), count).T
+    same = (matrix == matrix[:1]).all(axis=0)
+    return tuple(matrix[0, same].tolist()), np.ascontiguousarray(matrix[:, ~same], dtype)
+
+
+_PLANS: dict[tuple, _Plan] = {}
 
 
 # ---------------------------------------------------------------------------
-# frenkel-turaev: terminating very-well-poised one-variable summation
+# Batch and assemble
 # ---------------------------------------------------------------------------
 
 
-def _ft_term(ctx, inst, k):
-    p_ = inst.params
-    a = p_["a"]
-    q = ctx.q
-    N = inst.N
-    num = ctx.theta(a * ctx.qpow(2 * k))
-    for base in (a, p_["b"], p_["c"], p_["d"], p_["e"], ctx.qpow(-N)):
-        num *= ctx.poch(base, k)
-    num *= ctx.qpow(k)
-    den = ctx.den_theta(a, "theta(a)") * ctx.den_poch(q, k, "(q)_x")
-    aq = a * q
-    for name in ("b", "c", "d", "e"):
-        den *= ctx.den_poch(aq / p_[name], k, f"(aq/{name})_x")
-    den *= ctx.den_poch(a * ctx.qpow(N + 1), k, "(a q^(N+1))_x")
-    return num / den
+def _raise_pole(plan: _Plan, xs: tuple, size: np.ndarray, floor: float):
+    """PoleError for the first term, then first factor, that uses a bad theta."""
+    for term, index in enumerate(xs):
+        for label, run, per_term in plan.den_uses:
+            touched = run[:per_term[term]] if run is not None else (per_term[term],)
+            for j, k in enumerate(touched):
+                if size[k] == 0.0 or size[k] < floor:
+                    what = label if run is None else f"theta factor {j} of {label}"
+                    raise PoleError(what, near=bool(size[k]), index=index)
 
 
-def _ft_rhs(ctx, inst):
-    p_ = inst.params
-    a, b, c, d = p_["a"], p_["b"], p_["c"], p_["d"]
-    aq = a * ctx.q
-    N = inst.N
-    num = (ctx.poch(aq, N) * ctx.poch(aq / (b * c), N)
-           * ctx.poch(aq / (b * d), N) * ctx.poch(aq / (c * d), N))
-    den = (ctx.den_poch(aq / b, N, "(aq/b)_N") * ctx.den_poch(aq / c, N, "(aq/c)_N")
-           * ctx.den_poch(aq / d, N, "(aq/d)_N")
-           * ctx.den_poch(aq / (b * c * d), N, "(aq/bcd)_N"))
-    return num / den
+def _scaled(value: float, exponent: int) -> float:
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.inf
 
 
-# ---------------------------------------------------------------------------
-# elliptic-bailey: one-variable transformation; the right side is a sum too
-# ---------------------------------------------------------------------------
+def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
+               ) -> tuple[complex, float]:
+    """(sum over domain(inst) of side's terms, max |term|)."""
+    xs = tuple(domain(inst))
+    key = (id(side), inst.n, inst.N, inst.box)  # these fix the domain
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _Plan(side, inst, xs)
 
+    # batch: bases, one theta call, powers; mantissas in [1/2, 1) and exponents
+    symbols = np.array(_symbol_values(inst))
+    monomials = np.multiply.reduce(symbols[plan.mono_sym] ** plan.mono_exp, axis=1)
+    bases = monomials[:plan.base_count]
+    values = np.concatenate((ctx.theta(bases[plan.arg_base] * ctx.q ** plan.arg_q),
+                             monomials[plan.base_count:]))
+    size = np.abs(values)
+    if plan.den_args.size:
+        low = size[plan.den_args].min()
+        if low == 0.0 or low < ctx.pole_floor:
+            _raise_pole(_Plan(side, inst, xs, detail=True), xs, size, ctx.pole_floor)
+    exps = np.frexp(size)[1]
+    mant = (values * np.ldexp(1.0, -exps)).tolist()
+    exps = exps.tolist()
+    mant.append(complex(1.0))
+    exps.append(0)
+    for first, stop in plan.runs:  # (B)_k for k = 2 .. stop - first, kept normalised
+        m, e = mant[first], exps[first]
+        for k in range(first + 1, stop):
+            m *= mant[k]
+            e += exps[k]
+            if abs(m) < 0.5:
+                m *= 2.0
+                e -= 1
+            mant.append(m)
+            exps.append(e)
 
-def _eb_lhs_term(ctx, inst, k):
-    p_ = inst.params
-    a = p_["a"]
-    q = ctx.q
-    N = inst.N
-    num = ctx.theta(a * ctx.qpow(2 * k))
-    for base in (a, p_["b"], p_["c"], p_["d"], p_["e"], p_["f"], p_["g"],
-                 ctx.qpow(-N)):
-        num *= ctx.poch(base, k)
-    num *= ctx.qpow(k)
-    den = ctx.den_theta(a, "theta(a)") * ctx.den_poch(q, k, "(q)_x")
-    aq = a * q
-    for name in ("b", "c", "d", "e", "f", "g"):
-        den *= ctx.den_poch(aq / p_[name], k, f"(aq/{name})_x")
-    den *= ctx.den_poch(a * ctx.qpow(N + 1), k, "(a q^(N+1))_x")
-    return num / den
-
-
-def _eb_rhs_prefactor(ctx, inst):
-    p_ = inst.params
-    a, e, f = p_["a"], p_["e"], p_["f"]
-    lam = inst.lam
-    q = ctx.q
-    N = inst.N
-    aq, lq = a * q, lam * q
-    num = (ctx.poch(aq, N) * ctx.poch(aq / (e * f), N)
-           * ctx.poch(lq / e, N) * ctx.poch(lq / f, N))
-    den = (ctx.den_poch(lq, N, "(lam q)_N")
-           * ctx.den_poch(lq / (e * f), N, "(lam q/ef)_N")
-           * ctx.den_poch(aq / e, N, "(aq/e)_N")
-           * ctx.den_poch(aq / f, N, "(aq/f)_N"))
-    return num / den
-
-
-def _eb_rhs_term(ctx, inst, k):
-    p_ = inst.params
-    a = p_["a"]
-    lam = inst.lam
-    q = ctx.q
-    N = inst.N
-    num = ctx.theta(lam * ctx.qpow(2 * k))
-    for base in (lam, lam * p_["b"] / a, lam * p_["c"] / a, lam * p_["d"] / a,
-                 p_["e"], p_["f"], p_["g"], ctx.qpow(-N)):
-        num *= ctx.poch(base, k)
-    num *= ctx.qpow(k)
-    den = ctx.den_theta(lam, "theta(lam)") * ctx.den_poch(q, k, "(q)_x")
-    aq, lq = a * q, lam * q
-    for name in ("b", "c", "d"):
-        den *= ctx.den_poch(aq / p_[name], k, f"(aq/{name})_x")
-    for name in ("e", "f", "g"):
-        den *= ctx.den_poch(lq / p_[name], k, f"(lam q/{name})_x")
-    den *= ctx.den_poch(lam * ctx.qpow(N + 1), k, "(lam q^(N+1))_x")
-    return num / den
-
-
-# ---------------------------------------------------------------------------
-# rs-jackson: box-limit inverted A-type Jackson summation
-# ---------------------------------------------------------------------------
-
-
-def _rs_term(ctx, inst, x):
-    p_ = inst.params
-    a, b, c, d, e = p_["a"], p_["b"], p_["c"], p_["d"], p_["e"]
-    z = inst.z
-    box = inst.box
-    q = ctx.q
-    s = sum(x)
-    total_N = sum(box)
-    value = _delta_ratio(ctx, z, x)
-    value *= ctx.theta(a * ctx.qpow(2 * s)) / ctx.den_theta(a, "theta(a)")
-    num = ctx.poch(a, s) * ctx.poch(b, s) * ctx.poch(c, s)
-    for zi in z:
-        num *= ctx.poch(d / zi, s)
-    aq = a * q
-    den = (ctx.den_poch(aq / b, s, "(aq/b)_|x|")
-           * ctx.den_poch(aq / c, s, "(aq/c)_|x|")
-           * ctx.den_poch(a * ctx.qpow(total_N + 1), s, "(a q^(|N|+1))_|x|"))
-    for i, zi in enumerate(z):
-        den *= ctx.den_poch(a * ctx.qpow(total_N + 1 - box[i]) / (e * zi), s,
-                            "(a q^(|N|+1-N_i)/(e z_i))_|x|")
-    value *= num / den * ctx.qpow(s)
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = (ctx.poch(a * ctx.qpow(total_N + 1) / (e * zi), s - xi)
-                 * ctx.poch(e * zi, xi))
-        for j, zj in enumerate(z):
-            num_i *= ctx.poch(ctx.qpow(-box[j]) * zi / zj, xi)
-        den_i = (ctx.den_poch(d / zi, s - xi, "(d/z_i)_(|x|-x_i)")
-                 * ctx.den_poch(aq * zi / d, xi, "(aq z_i/d)_x"))
-        for j, zj in enumerate(z):
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    return value
-
-
-def _rs_rhs(ctx, inst):
-    p_ = inst.params
-    a, b, c, d = p_["a"], p_["b"], p_["c"], p_["d"]
-    z = inst.z
-    box = inst.box
-    aq = a * ctx.q
-    total_N = sum(box)
-    value = (ctx.poch(aq, total_N) * ctx.poch(aq / (b * c), total_N)
-             / (ctx.den_poch(aq / b, total_N, "(aq/b)_|N|")
-                * ctx.den_poch(aq / c, total_N, "(aq/c)_|N|")))
-    for i, zi in enumerate(z):
-        mi = box[i]
-        value *= (ctx.poch(aq * zi / (b * d), mi) * ctx.poch(aq * zi / (c * d), mi)
-                  / (ctx.den_poch(aq * zi / d, mi, "(aq z_i/d)_N_i")
-                     * ctx.den_poch(aq * zi / (b * c * d), mi, "(aq z_i/bcd)_N_i")))
-    return value
-
-
-# ---------------------------------------------------------------------------
-# theta-lemma: sum over which single coordinate carries the unit index
-# ---------------------------------------------------------------------------
-
-
-def _tl_term(ctx, inst, x):
-    p_ = inst.params
-    z = inst.z
-    k = x.index(1)
-    zk = z[k]
-    value = complex(1.0)
-    for name in ("b1", "b2", "b3", "b4"):
-        value *= ctx.theta(zk * p_[name])
-    value /= zk
-    for j, zj in enumerate(z):
-        if j == k:
-            continue
-        value *= ctx.theta(zk * zj) / ctx.den_theta(zk / zj, "theta(z_k/z_j)")
-    return value
-
-
-def _tl_rhs(ctx, inst):
-    p_ = inst.params
-    b1 = p_["b1"]
-    Z = inst.Z
-    if len(inst.z) % 2 == 1:
-        value = complex(1.0)
-        for name in ("b1", "b2", "b3", "b4"):
-            value *= ctx.theta(Z * p_[name])
-        return value / Z
-    value = ctx.theta(Z)
-    for name in ("b2", "b3", "b4"):
-        value *= ctx.theta(Z * b1 * p_[name])
-    return value / (Z * b1)
-
-
-# ---------------------------------------------------------------------------
-# gr-sum: summation over compositions of weight exactly N
-# ---------------------------------------------------------------------------
-
-
-def _gs_term(ctx, inst, x):
-    p_ = inst.params
-    z = inst.z
-    n = len(z)
-    value = _delta_ratio(ctx, z, x)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            value *= ctx.qpow(x[i] * x[j]) * ctx.poch(z[i] * z[j], x[i] + x[j])
-    for i in range(n):
-        xi = x[i]
-        num = complex(1.0)
-        for name in ("b1", "b2", "b3", "b4"):
-            num *= ctx.poch(z[i] * p_[name], xi)
-        value *= num / ipow(z[i], xi)
-    value /= _cross_poch_den(ctx, z, x)
-    return value
-
-
-def _gs_rhs(ctx, inst):
-    p_ = inst.params
-    Z = inst.Z
-    N = inst.N
-    if len(inst.z) % 2 == 1:
-        num = complex(1.0)
-        for name in ("b1", "b2", "b3", "b4"):
-            num *= ctx.poch(Z * p_[name], N)
-        return num / (ipow(Z, N) * ctx.den_poch(ctx.q, N, "(q)_N"))
-    b1 = p_["b1"]
-    num = ctx.poch(Z, N)
-    for name in ("b2", "b3", "b4"):
-        num *= ctx.poch(Z * b1 * p_[name], N)
-    return num / (ipow(Z * b1, N) * ctx.den_poch(ctx.q, N, "(q)_N"))
-
-
-# ---------------------------------------------------------------------------
-# gr-corollary: the |x| <= N companion with well-poised prefactors
-# ---------------------------------------------------------------------------
-
-
-def _gc_term(ctx, inst, x):
-    p_ = inst.params
-    a = p_["a"]
-    z = inst.z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    for i, zi in enumerate(z):
-        value *= (ctx.theta(a * zi * ctx.qpow(s + x[i]))
-                  / ctx.den_theta(a * zi, "theta(a z_i)"))
-    value *= _pair_poch(ctx, z, x)
-    aq = a * q
-    for i, zi in enumerate(z):
-        value /= ctx.den_poch(aq / zi, s - x[i], "(aq/z_i)_(|x|-x_i)")
-    num = ctx.poch(ctx.qpow(-N), s)
-    for zi in z:
-        num *= ctx.poch(a * zi, s)
-    den = complex(1.0)
-    for name in ("b1", "b2", "b3", "b4"):
-        den *= ctx.den_poch(aq / p_[name], s, f"(aq/{name})_|x|")
-    value *= num / den * ctx.qpow(s)
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = complex(1.0)
-        for name in ("b1", "b2", "b3", "b4"):
-            num_i *= ctx.poch(zi * p_[name], xi)
-        den_i = ctx.den_poch(a * ctx.qpow(N + 1) * zi, xi, "(a q^(N+1) z_i)_x")
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    return value
-
-
-def _gc_rhs(ctx, inst):
-    p_ = inst.params
-    a, b1, b2, b3 = p_["a"], p_["b1"], p_["b2"], p_["b3"]
-    z = inst.z
-    Z = inst.Z
-    aq = a * ctx.q
-    N = inst.N
-    num = complex(1.0)
-    for zj in z:
-        num *= ctx.poch(aq * zj, N)
-    den = (ctx.den_poch(aq / b1, N, "(aq/b1)_N")
-           * ctx.den_poch(aq / b2, N, "(aq/b2)_N")
-           * ctx.den_poch(aq / b3, N, "(aq/b3)_N")
-           * ctx.den_poch(aq / (b1 * b2 * b3 * Z * Z), N, "(aq/b1b2b3Z^2)_N"))
-    for zj in z:
-        den *= ctx.den_poch(aq / zj, N, "(aq/z_j)_N")
-    if len(z) % 2 == 1:
-        branch = (ctx.poch(aq / Z, N) * ctx.poch(aq / (b1 * b2 * Z), N)
-                  * ctx.poch(aq / (b1 * b3 * Z), N) * ctx.poch(aq / (b2 * b3 * Z), N))
+    # assemble: gather, scale every term to the largest exponent, fsum
+    get_m, get_e = mant.__getitem__, exps.__getitem__
+    c_mant = math.prod(map(get_m, plan.const_num)) / math.prod(map(get_m, plan.const_den))
+    c_exp = sum(map(get_e, plan.const_num)) - sum(map(get_e, plan.const_den))
+    if len(xs) >= NUMPY_TERMS:
+        mant, exps = np.array(mant), np.array(exps)
+        m = mant[plan.num].prod(axis=1) / mant[plan.den].prod(axis=1)
+        e = exps[plan.num].sum(axis=1) - exps[plan.den].sum(axis=1)
+        top = int(e[m != 0].max(initial=0))  # exponents of zero terms are arbitrary
+        terms = m * np.ldexp(1.0, e - top)
+        re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
+        largest = float(np.abs(terms).max())
     else:
-        branch = (ctx.poch(aq / (b1 * Z), N) * ctx.poch(aq / (b2 * Z), N)
-                  * ctx.poch(aq / (b3 * Z), N)
-                  * ctx.poch(aq / (b1 * b2 * b3 * Z), N))
-    return num / den * branch
-
-
-# ---------------------------------------------------------------------------
-# bt-transform: both sides are |x| <= N sums
-# ---------------------------------------------------------------------------
-
-
-def _bt_lhs_term(ctx, inst, x):
-    p_ = inst.params
-    a, b = p_["a"], p_["b"]
-    z = inst.z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    for i, zi in enumerate(z):
-        value *= (ctx.theta(a * zi * ctx.qpow(s + x[i]))
-                  / ctx.den_theta(a * zi, "theta(a z_i)"))
-    value *= _pair_poch(ctx, z, x)
-    aq = a * q
-    for i, zi in enumerate(z):
-        value /= ctx.den_poch(aq / zi, s - x[i], "(aq/z_i)_(|x|-x_i)")
-    num = ctx.poch(ctx.qpow(-N), s) * ctx.poch(b, s)
-    for zi in z:
-        num *= ctx.poch(a * zi, s)
-    den = complex(1.0)
-    for name in ("c", "d", "e", "f", "g"):
-        den *= ctx.den_poch(aq / p_[name], s, f"(aq/{name})_|x|")
-    value *= num / den * ctx.qpow(s)
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = complex(1.0)
-        for name in ("c", "d", "e", "f", "g"):
-            num_i *= ctx.poch(p_[name] * zi, xi)
-        den_i = (ctx.den_poch(a * ctx.qpow(N + 1) * zi, xi, "(a q^(N+1) z_i)_x")
-                 * ctx.den_poch(aq * zi / b, xi, "(aq z_i/b)_x"))
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    return value
-
-
-def _bt_rhs_prefactor(ctx, inst):
-    p_ = inst.params
-    a = p_["a"]
-    lam = inst.lam
-    z = inst.z
-    aq = a * ctx.q
-    N = inst.N
-    num = ipow(inst.Z, N)
-    for zi in z:
-        num *= ctx.poch(aq * zi, N)
-    den = (ctx.den_poch(lam * ctx.q, N, "(lam q)_N")
-           * ctx.den_poch(aq / p_["e"], N, "(aq/e)_N")
-           * ctx.den_poch(aq / p_["f"], N, "(aq/f)_N")
-           * ctx.den_poch(aq / p_["g"], N, "(aq/g)_N"))
-    for zi in z:
-        den *= ctx.den_poch(aq / zi, N, "(aq/z_i)_N")
-    return num / den
-
-
-def _bt_rhs_term(ctx, inst, x):
-    p_ = inst.params
-    a, b = p_["a"], p_["b"]
-    lam = inst.lam
-    z = inst.z
-    Z = inst.Z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    value *= ctx.theta(lam * ctx.qpow(2 * s)) / ctx.den_theta(lam, "theta(lam)")
-    value *= _pair_poch(ctx, z, x)
-    for i, zi in enumerate(z):
-        value /= ctx.den_poch(lam * b / (a * zi), s - x[i],
-                              "(lam b/(a z_i))_(|x|-x_i)")
-    num = (ctx.poch(lam, s) * ctx.poch(ctx.qpow(-N), s)
-           * ctx.poch(lam * p_["c"] / a, s) * ctx.poch(lam * p_["d"] / a, s))
-    for zi in z:
-        num *= ctx.poch(lam * b / (a * zi), s)
-    aq = a * q
-    den = (ctx.den_poch(lam * ctx.qpow(N + 1), s, "(lam q^(N+1))_|x|")
-           * ctx.den_poch(aq / p_["c"], s, "(aq/c)_|x|")
-           * ctx.den_poch(aq / p_["d"], s, "(aq/d)_|x|"))
-    value *= num / den * ctx.qpow(s)
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = (ctx.poch(p_["e"] * zi, xi) * ctx.poch(p_["f"] * zi, xi)
-                 * ctx.poch(p_["g"] * zi, xi)
-                 * ctx.poch(ctx.qpow(-N) * zi / a, xi))
-        den_i = ctx.den_poch(aq * zi / b, xi, "(aq z_i/b)_x")
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    lq = lam * q
-    if len(z) % 2 == 1:
-        branch = (ipow(a / lam, N) * ctx.poch(aq / Z, N)
-                  * ctx.poch(lq / (p_["e"] * Z), N)
-                  * ctx.poch(lq / (p_["f"] * Z), N)
-                  * ctx.poch(lq / (p_["g"] * Z), N))
-        branch /= (ctx.den_poch(ctx.qpow(-N) * Z / a, s, "(q^-N Z/a)_|x|")
-                   * ctx.den_poch(lq / (p_["e"] * Z), s, "(lam q/eZ)_|x|")
-                   * ctx.den_poch(lq / (p_["f"] * Z), s, "(lam q/fZ)_|x|")
-                   * ctx.den_poch(lq / (p_["g"] * Z), s, "(lam q/gZ)_|x|"))
-    else:
-        branch = (ctx.poch(lq / Z, N) * ctx.poch(aq / (p_["e"] * Z), N)
-                  * ctx.poch(aq / (p_["f"] * Z), N)
-                  * ctx.poch(aq / (p_["g"] * Z), N))
-        branch /= (ctx.den_poch(lq / Z, s, "(lam q/Z)_|x|")
-                   * ctx.den_poch(lq / (p_["e"] * p_["f"] * Z), s, "(lam q/efZ)_|x|")
-                   * ctx.den_poch(lq / (p_["e"] * p_["g"] * Z), s, "(lam q/egZ)_|x|")
-                   * ctx.den_poch(lq / (p_["f"] * p_["g"] * Z), s, "(lam q/fgZ)_|x|"))
-    return value * branch
-
-
-# ---------------------------------------------------------------------------
-# bc-transform: companion transformation; both sides are |x| <= N sums
-# ---------------------------------------------------------------------------
-
-
-def _bc_lhs_term(ctx, inst, x):
-    p_ = inst.params
-    a, b = p_["a"], p_["b"]
-    z = inst.z
-    Z = inst.Z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    value *= ctx.theta(a * ctx.qpow(2 * s)) / ctx.den_theta(a, "theta(a)")
-    value *= _pair_poch(ctx, z, x)
-    for i, zi in enumerate(z):
-        value /= ctx.den_poch(b / zi, s - x[i], "(b/z_i)_(|x|-x_i)")
-    num = (ctx.poch(a, s) * ctx.poch(ctx.qpow(-N), s)
-           * ctx.poch(p_["c"], s) * ctx.poch(p_["d"], s))
-    for zi in z:
-        num *= ctx.poch(b / zi, s)
-    aq = a * q
-    den = (ctx.den_poch(a * ctx.qpow(N + 1), s, "(a q^(N+1))_|x|")
-           * ctx.den_poch(aq / p_["c"], s, "(aq/c)_|x|")
-           * ctx.den_poch(aq / p_["d"], s, "(aq/d)_|x|"))
-    value *= num / den * ctx.qpow(s)
-    e, f, g = p_["e"], p_["f"], p_["g"]
-    efg_Z2 = e * f * g * Z * Z
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = (ctx.poch(e * zi, xi) * ctx.poch(f * zi, xi) * ctx.poch(g * zi, xi)
-                 * ctx.poch(aq * zi / efg_Z2, xi))
-        den_i = ctx.den_poch(aq * zi / b, xi, "(aq z_i/b)_x")
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    if len(z) % 2 == 1:
-        value /= (ctx.den_poch(aq / (e * Z), s, "(aq/eZ)_|x|")
-                  * ctx.den_poch(aq / (f * Z), s, "(aq/fZ)_|x|")
-                  * ctx.den_poch(aq / (g * Z), s, "(aq/gZ)_|x|")
-                  * ctx.den_poch(aq / (e * f * g * Z), s, "(aq/efgZ)_|x|"))
-    else:
-        value /= (ctx.den_poch(aq / Z, s, "(aq/Z)_|x|")
-                  * ctx.den_poch(aq / (e * f * Z), s, "(aq/efZ)_|x|")
-                  * ctx.den_poch(aq / (e * g * Z), s, "(aq/egZ)_|x|")
-                  * ctx.den_poch(aq / (f * g * Z), s, "(aq/fgZ)_|x|"))
-    return value
-
-
-def _bc_rhs_prefactor(ctx, inst):
-    p_ = inst.params
-    a, c = p_["a"], p_["c"]
-    lam = inst.lam
-    q = ctx.q
-    N = inst.N
-    return (ctx.poch(a * q, N) * ctx.poch(lam * q / c, N)
-            / (ctx.den_poch(lam * q, N, "(lam q)_N")
-               * ctx.den_poch(a * q / c, N, "(aq/c)_N")))
-
-
-def _bc_rhs_term(ctx, inst, x):
-    p_ = inst.params
-    a, b, c = p_["a"], p_["b"], p_["c"]
-    lam = inst.lam
-    z = inst.z
-    Z = inst.Z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    value *= ctx.theta(lam * ctx.qpow(2 * s)) / ctx.den_theta(lam, "theta(lam)")
-    value *= _pair_poch(ctx, z, x)
-    for i, zi in enumerate(z):
-        value /= ctx.den_poch(lam * b / (a * zi), s - x[i],
-                              "(lam b/(a z_i))_(|x|-x_i)")
-    num = (ctx.poch(lam, s) * ctx.poch(ctx.qpow(-N), s)
-           * ctx.poch(c, s) * ctx.poch(lam * p_["d"] / a, s))
-    for zi in z:
-        num *= ctx.poch(lam * b / (a * zi), s)
-    aq, lq = a * q, lam * q
-    den = (ctx.den_poch(lam * ctx.qpow(N + 1), s, "(lam q^(N+1))_|x|")
-           * ctx.den_poch(lq / c, s, "(lam q/c)_|x|")
-           * ctx.den_poch(aq / p_["d"], s, "(aq/d)_|x|"))
-    value *= num / den * ctx.qpow(s)
-    e, f, g = p_["e"], p_["f"], p_["g"]
-    efg_Z2 = e * f * g * Z * Z
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = (ctx.poch(lam * e * zi / a, xi) * ctx.poch(f * zi, xi)
-                 * ctx.poch(g * zi, xi) * ctx.poch(aq * zi / efg_Z2, xi))
-        den_i = ctx.den_poch(aq * zi / b, xi, "(aq z_i/b)_x")
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    if len(z) % 2 == 1:
-        branch = (ctx.poch(aq / (c * f * Z), N) * ctx.poch(lq / (f * Z), N)
-                  / (ctx.den_poch(aq / (f * Z), N, "(aq/fZ)_N")
-                     * ctx.den_poch(lq / (c * f * Z), N, "(lam q/cfZ)_N")))
-        branch /= (ctx.den_poch(aq / (e * Z), s, "(aq/eZ)_|x|")
-                   * ctx.den_poch(lq / (f * Z), s, "(lam q/fZ)_|x|")
-                   * ctx.den_poch(lq / (g * Z), s, "(lam q/gZ)_|x|")
-                   * ctx.den_poch(aq / (e * f * g * Z), s, "(aq/efgZ)_|x|"))
-    else:
-        branch = (ctx.poch(aq / (c * Z), N) * ctx.poch(lq / Z, N)
-                  / (ctx.den_poch(aq / Z, N, "(aq/Z)_N")
-                     * ctx.den_poch(lq / (c * Z), N, "(lam q/cZ)_N")))
-        branch /= (ctx.den_poch(lq / Z, s, "(lam q/Z)_|x|")
-                   * ctx.den_poch(aq / (e * f * Z), s, "(aq/efZ)_|x|")
-                   * ctx.den_poch(aq / (e * g * Z), s, "(aq/egZ)_|x|")
-                   * ctx.den_poch(lq / (f * g * Z), s, "(lam q/fgZ)_|x|"))
-    return value * branch
-
-
-# ---------------------------------------------------------------------------
-# njc-jackson: inverted multivariable Jackson summation
-# ---------------------------------------------------------------------------
-
-
-def _njc_term(ctx, inst, x):
-    p_ = inst.params
-    a, b, c, d, e = p_["a"], p_["b"], p_["c"], p_["d"], p_["e"]
-    z = inst.z
-    Z = inst.Z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    value *= ctx.theta(a * ctx.qpow(2 * s)) / ctx.den_theta(a, "theta(a)")
-    value *= _pair_poch(ctx, z, x)
-    for i, zi in enumerate(z):
-        value /= ctx.den_poch(e / zi, s - x[i], "(e/z_i)_(|x|-x_i)")
-    num = ctx.poch(a, s) * ctx.poch(ctx.qpow(-N), s)
-    for zi in z:
-        num *= ctx.poch(e / zi, s)
-    den = ctx.den_poch(a * ctx.qpow(N + 1), s, "(a q^(N+1))_|x|")
-    value *= num / den * ctx.qpow(s)
-    aq = a * q
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = (ctx.poch(b * zi, xi) * ctx.poch(c * zi, xi) * ctx.poch(d * zi, xi)
-                 * ctx.poch(ctx.qpow(-N) * e * zi / a, xi))
-        den_i = ctx.den_poch(aq * zi / e, xi, "(aq z_i/e)_x")
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    if len(z) % 2 == 1:
-        value /= (ctx.den_poch(ctx.qpow(-N) * e * Z / a, s, "(q^-N eZ/a)_|x|")
-                  * ctx.den_poch(aq / (b * Z), s, "(aq/bZ)_|x|")
-                  * ctx.den_poch(aq / (c * Z), s, "(aq/cZ)_|x|")
-                  * ctx.den_poch(aq / (d * Z), s, "(aq/dZ)_|x|"))
-    else:
-        value /= (ctx.den_poch(aq / Z, s, "(aq/Z)_|x|")
-                  * ctx.den_poch(aq / (b * c * Z), s, "(aq/bcZ)_|x|")
-                  * ctx.den_poch(aq / (b * d * Z), s, "(aq/bdZ)_|x|")
-                  * ctx.den_poch(aq / (c * d * Z), s, "(aq/cdZ)_|x|"))
-    return value
-
-
-def _njc_rhs(ctx, inst):
-    p_ = inst.params
-    a, b, c, d, e = p_["a"], p_["b"], p_["c"], p_["d"], p_["e"]
-    z = inst.z
-    Z = inst.Z
-    aq = a * ctx.q
-    N = inst.N
-    value = (ctx.poch(aq, N) * ctx.poch(aq / (b * e), N)
-             * ctx.poch(aq / (c * e), N) * ctx.poch(aq / (d * e), N))
-    for zi in z:
-        value *= ctx.poch(aq / (e * zi), N)
-    value /= ipow(Z, N)
-    for zi in z:
-        value /= ctx.den_poch(aq * zi / e, N, "(aq z_i/e)_N")
-    if len(z) % 2 == 1:
-        value *= ipow(e, N)
-        value /= (ctx.den_poch(aq / (b * Z), N, "(aq/bZ)_N")
-                  * ctx.den_poch(aq / (c * Z), N, "(aq/cZ)_N")
-                  * ctx.den_poch(aq / (d * Z), N, "(aq/dZ)_N")
-                  * ctx.den_poch(aq / (e * Z), N, "(aq/eZ)_N"))
-    else:
-        value /= (ctx.den_poch(aq / Z, N, "(aq/Z)_N")
-                  * ctx.den_poch(aq / (b * e * Z), N, "(aq/beZ)_N")
-                  * ctx.den_poch(aq / (c * e * Z), N, "(aq/ceZ)_N")
-                  * ctx.den_poch(aq / (d * e * Z), N, "(aq/deZ)_N"))
-    return value
-
-
-# ---------------------------------------------------------------------------
-# jts-jackson: Jackson summation with a free spectator parameter t
-# ---------------------------------------------------------------------------
-
-
-def _jts_term(ctx, inst, x):
-    p_ = inst.params
-    a, b, c, d, e, t = (p_["a"], p_["b"], p_["c"], p_["d"], p_["e"], p_["t"])
-    z = inst.z
-    Z = inst.Z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    value *= ctx.theta(a * ctx.qpow(2 * s)) / ctx.den_theta(a, "theta(a)")
-    value *= _pair_poch(ctx, z, x)
-    for i, zi in enumerate(z):
-        value /= ctx.den_poch(t / zi, s - x[i], "(t/z_i)_(|x|-x_i)")
-    num = (ctx.poch(a, s) * ctx.poch(ctx.qpow(-N), s)
-           * ctx.poch(b, s) * ctx.poch(c, s))
-    for zi in z:
-        num *= ctx.poch(t / zi, s)
-    aq = a * q
-    den = (ctx.den_poch(a * ctx.qpow(N + 1), s, "(a q^(N+1))_|x|")
-           * ctx.den_poch(aq / b, s, "(aq/b)_|x|")
-           * ctx.den_poch(aq / c, s, "(aq/c)_|x|"))
-    value *= num / den * ctx.qpow(s)
-    de_Z2 = d * e * Z * Z
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = (ctx.poch(d * zi, xi) * ctx.poch(e * zi, xi)
-                 * ctx.poch(t * zi / de_Z2, xi))
-        den_i = complex(1.0)
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    if len(z) % 2 == 1:
-        value /= (ctx.den_poch(aq / (d * Z), s, "(aq/dZ)_|x|")
-                  * ctx.den_poch(aq / (e * Z), s, "(aq/eZ)_|x|")
-                  * ctx.den_poch(t / Z, s, "(t/Z)_|x|")
-                  * ctx.den_poch(t / (d * e * Z), s, "(t/deZ)_|x|"))
-    else:
-        value /= (ctx.den_poch(aq / Z, s, "(aq/Z)_|x|")
-                  * ctx.den_poch(aq / (d * e * Z), s, "(aq/deZ)_|x|")
-                  * ctx.den_poch(t / (d * Z), s, "(t/dZ)_|x|")
-                  * ctx.den_poch(t / (e * Z), s, "(t/eZ)_|x|"))
-    return value
-
-
-def _jts_rhs(ctx, inst):
-    p_ = inst.params
-    a, b, c, d = p_["a"], p_["b"], p_["c"], p_["d"]
-    Z = inst.Z
-    aq = a * ctx.q
-    N = inst.N
-    if len(inst.z) % 2 == 1:
-        num = (ctx.poch(aq, N) * ctx.poch(aq / (b * c), N)
-               * ctx.poch(aq / (b * d * Z), N) * ctx.poch(aq / (c * d * Z), N))
-        den = (ctx.den_poch(aq / b, N, "(aq/b)_N")
-               * ctx.den_poch(aq / c, N, "(aq/c)_N")
-               * ctx.den_poch(aq / (d * Z), N, "(aq/dZ)_N")
-               * ctx.den_poch(aq / (b * c * d * Z), N, "(aq/bcdZ)_N"))
-    else:
-        num = (ctx.poch(aq, N) * ctx.poch(aq / (b * c), N)
-               * ctx.poch(aq / (b * Z), N) * ctx.poch(aq / (c * Z), N))
-        den = (ctx.den_poch(aq / b, N, "(aq/b)_N")
-               * ctx.den_poch(aq / c, N, "(aq/c)_N")
-               * ctx.den_poch(aq / Z, N, "(aq/Z)_N")
-               * ctx.den_poch(aq / (b * c * Z), N, "(aq/bcZ)_N"))
-    return num / den
-
-
-# ---------------------------------------------------------------------------
-# general-jackson: two-constraint summation
-# ---------------------------------------------------------------------------
-
-
-def _gj_term(ctx, inst, x):
-    p_ = inst.params
-    a = p_["a"]
-    z = inst.z
-    Z = inst.Z
-    q = ctx.q
-    N = inst.N
-    s = sum(x)
-    value = _delta_ratio(ctx, z, x)
-    value *= ctx.theta(a * ctx.qpow(2 * s)) / ctx.den_theta(a, "theta(a)")
-    value *= _pair_poch(ctx, z, x)
-    num = ctx.poch(a, s) * ctx.poch(ctx.qpow(-N), s)
-    for name in ("b", "c", "d", "e"):
-        num *= ctx.poch(p_[name], s)
-    aq = a * q
-    den = ctx.den_poch(a * ctx.qpow(N + 1), s, "(a q^(N+1))_|x|")
-    for name in ("b", "c", "d", "e"):
-        den *= ctx.den_poch(aq / p_[name], s, f"(aq/{name})_|x|")
-    value *= num / den * ctx.qpow(s)
-    t = p_["t"]
-    f, g, h = p_["f"], p_["g"], p_["h"]
-    for i, zi in enumerate(z):
-        xi = x[i]
-        num_i = (ctx.poch(t / zi, s) * ctx.poch(f * zi, xi)
-                 * ctx.poch(g * zi, xi) * ctx.poch(h * zi, xi))
-        den_i = ctx.den_poch(t / zi, s - xi, "(t/z_i)_(|x|-x_i)")
-        for zj in z:
-            den_i *= ctx.den_poch(q * zi / zj, xi, "(q z_i/z_j)_x")
-        value *= num_i / den_i
-    if len(z) % 2 == 1:
-        value /= (ctx.den_poch(f * Z, s, "(fZ)_|x|")
-                  * ctx.den_poch(g * Z, s, "(gZ)_|x|")
-                  * ctx.den_poch(h * Z, s, "(hZ)_|x|")
-                  * ctx.den_poch(t / Z, s, "(t/Z)_|x|"))
-    else:
-        value /= (ctx.den_poch(Z, s, "(Z)_|x|")
-                  * ctx.den_poch(f * g * Z, s, "(fgZ)_|x|")
-                  * ctx.den_poch(f * h * Z, s, "(fhZ)_|x|")
-                  * ctx.den_poch(g * h * Z, s, "(ghZ)_|x|"))
-    return value
-
-
-def _gj_rhs(ctx, inst):
-    p_ = inst.params
-    a, b, c, d = p_["a"], p_["b"], p_["c"], p_["d"]
-    aq = a * ctx.q
-    N = inst.N
-    num = (ctx.poch(aq, N) * ctx.poch(aq / (b * c), N)
-           * ctx.poch(aq / (b * d), N) * ctx.poch(aq / (c * d), N))
-    den = (ctx.den_poch(aq / b, N, "(aq/b)_N")
-           * ctx.den_poch(aq / c, N, "(aq/c)_N")
-           * ctx.den_poch(aq / d, N, "(aq/d)_N")
-           * ctx.den_poch(aq / (b * c * d), N, "(aq/bcd)_N"))
-    return num / den
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-
-def _scalar_domain(inst) -> Iterable[int]:
-    return range(inst.N + 1)
-
-
-def _exact_domain(inst):
-    return compositions_exact(inst.N, len(inst.z))
-
-
-def _bounded_domain(inst):
-    return compositions_bounded(inst.N, len(inst.z))
-
-
-def _unit_domain(inst):
-    return compositions_exact(1, len(inst.z))
-
-
-def _box_domain(inst):
-    return box_indices(inst.box)
-
-
-# identity id -> (domain fn, LHS term fn)
-_LHS: dict[str, tuple[Callable, Callable]] = {
-    "frenkel-turaev": (_scalar_domain, _ft_term),
-    "elliptic-bailey": (_scalar_domain, _eb_lhs_term),
-    "rs-jackson": (_box_domain, _rs_term),
-    "theta-lemma": (_unit_domain, _tl_term),
-    "gr-sum": (_exact_domain, _gs_term),
-    "gr-corollary": (_bounded_domain, _gc_term),
-    "bt-transform": (_bounded_domain, _bt_lhs_term),
-    "bc-transform": (_bounded_domain, _bc_lhs_term),
-    "njc-jackson": (_bounded_domain, _njc_term),
-    "jts-jackson": (_bounded_domain, _jts_term),
-    "general-jackson": (_bounded_domain, _gj_term),
-}
-
-# identity id -> closed RHS fn
-_RHS_CLOSED: dict[str, Callable] = {
-    "frenkel-turaev": _ft_rhs,
-    "rs-jackson": _rs_rhs,
-    "theta-lemma": _tl_rhs,
-    "gr-sum": _gs_rhs,
-    "gr-corollary": _gc_rhs,
-    "njc-jackson": _njc_rhs,
-    "jts-jackson": _jts_rhs,
-    "general-jackson": _gj_rhs,
-}
-
-# identity id -> (prefactor fn, domain fn, RHS term fn) for transformations
-_RHS_SUM: dict[str, tuple[Callable, Callable, Callable]] = {
-    "elliptic-bailey": (_eb_rhs_prefactor, _scalar_domain, _eb_rhs_term),
-    "bt-transform": (_bt_rhs_prefactor, _bounded_domain, _bt_rhs_term),
-    "bc-transform": (_bc_rhs_prefactor, _bounded_domain, _bc_rhs_term),
-}
-
-
-def _sum_terms(ctx: EvalContext, inst, domain, term_fn) -> tuple[complex, float]:
-    acc = _KahanSum()
-    max_abs = 0.0
-    for x in domain(inst):
-        ctx.index = x
-        term = term_fn(ctx, inst, x)
-        magnitude = abs(term)
-        if magnitude > max_abs:
-            max_abs = magnitude
-        acc.add(term)
-    ctx.index = None
-    value = acc.value
+        rows = list(zip(plan.num.tolist(), plan.den.tolist()))
+        m = [math.prod(map(get_m, a)) / math.prod(map(get_m, b)) for a, b in rows]
+        e = [sum(map(get_e, a)) - sum(map(get_e, b)) for a, b in rows]
+        top = max((k for v, k in zip(m, e) if v), default=0)
+        terms = [v * math.ldexp(1.0, k - top) for v, k in zip(m, e)]
+        re, im = math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)
+        largest = max(map(abs, terms))
+    total = complex(re, im) * c_mant
+    value = complex(_scaled(total.real, top + c_exp), _scaled(total.imag, top + c_exp))
     if not cmath.isfinite(value):
         raise NonFiniteError(f"{inst.identity_id}: sum overflowed")
-    return value, max_abs
+    return value, _scaled(largest * abs(c_mant), top + c_exp)
 
 
-def evaluate_lhs(inst: IdentityInstance, *, memoize: bool = True,
-                 pole_floor: float = 0.0) -> tuple[complex, float]:
-    """Term-by-term left side; returns (value, max |term| encountered)."""
-    domain, term_fn = _LHS[inst.identity_id]
-    ctx = EvalContext(inst.nome, memoize=memoize, pole_floor=pole_floor)
-    return _sum_terms(ctx, inst, domain, term_fn)
+def _evaluate(inst: IdentityInstance, which: int, pole_floor: float) -> tuple[complex, float]:
+    side = SIDES[inst.identity_id][which]
+    ctx = EvalContext(inst.nome, pole_floor=pole_floor)
+    return _sum_terms(ctx, inst, DOMAINS[side.domain], side)
 
 
-def evaluate_rhs(inst: IdentityInstance, *, memoize: bool = True,
-                 pole_floor: float = 0.0) -> tuple[complex, float]:
-    """Right side; a closed product, or prefactor times a sum for the
-    transformations.  Returns (value, max |term| seen, scaled by the
-    prefactor for transformation sums; |value| for closed products)."""
-    ctx = EvalContext(inst.nome, memoize=memoize, pole_floor=pole_floor)
-    identity_id = inst.identity_id
-    if identity_id in _RHS_CLOSED:
-        value = _RHS_CLOSED[identity_id](ctx, inst)
-        if not cmath.isfinite(value):
-            raise NonFiniteError(f"{identity_id}: closed side overflowed")
-        return value, abs(value)
-    prefactor_fn, domain, term_fn = _RHS_SUM[identity_id]
-    prefactor = prefactor_fn(ctx, inst)
-    total, max_abs = _sum_terms(ctx, inst, domain, term_fn)
-    value = prefactor * total
-    if not cmath.isfinite(value):
-        raise NonFiniteError(f"{identity_id}: transformed side overflowed")
-    return value, abs(prefactor) * max_abs
+def evaluate_lhs(inst: IdentityInstance, *, pole_floor: float = 0.0) -> tuple[complex, float]:
+    """Left side; returns (value, max |term| encountered)."""
+    return _evaluate(inst, 0, pole_floor)
+
+
+def evaluate_rhs(inst: IdentityInstance, *, pole_floor: float = 0.0) -> tuple[complex, float]:
+    """Right side; a closed product, or a prefactor times a sum for the
+    transformations.  Returns (value, max |term| seen, prefactor included;
+    |value| for closed products)."""
+    return _evaluate(inst, 1, pole_floor)
+
+
+def count_terms(inst: IdentityInstance) -> int:
+    """Number of terms in the left-side sum."""
+    return sum(1 for _ in DOMAINS[SIDES[inst.identity_id][0].domain](inst))

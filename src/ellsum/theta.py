@@ -21,12 +21,21 @@ multiplies the same factors.
 
 p = 0 short-circuits to the exact trigonometric value 1 - z and touches
 none of the truncation machinery.
+
+theta also takes a numpy array of arguments and evaluates it in one
+vectorised pass over blocks of the factors (1 - p^j z)(1 - p^{j+1}/z), one
+column per argument.  Each argument stops where its own scalar evaluation
+stops and later factors are exactly 1, so a value does not depend on which
+other arguments share its batch.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     NonFiniteError,
@@ -106,8 +115,13 @@ class EllipticNome:
             raise ValueError("q must be nonzero")
 
 
-def theta(z: complex, nome: EllipticNome) -> complex:
-    """Evaluate theta(z; p) under the nome's truncation policy."""
+def theta(z, nome: EllipticNome):
+    """Evaluate theta(z; p) under the nome's truncation policy.
+
+    z is a complex scalar, or an ndarray evaluated elementwise.
+    """
+    if isinstance(z, np.ndarray):
+        return _theta_array(np.asarray(z, dtype=complex), nome)
     p = nome.p
     if p == 0:
         return 1.0 - complex(z)
@@ -131,6 +145,51 @@ def theta(z: complex, nome: EllipticNome) -> complex:
         f"theta product needs more than {nome.truncation.max_terms} factors "
         f"(|p| = {abs(p):.6g}, |z| = {abs(z):.6g})"
     )
+
+
+#: Factors per block of the batched product; a power of two.
+_BLOCK = 32
+
+
+def _theta_array(z: np.ndarray, nome: EllipticNome) -> np.ndarray:
+    p = nome.p
+    if p == 0 or not z.size:
+        return 1.0 - z
+    if not z.all():
+        raise ThetaDomainError("theta(0) is undefined for p != 0")
+    # Factors per argument: j runs while |p^j z| or |p^(j+1)/z| is at least
+    # the cutoff, as in the scalar loop (up to rounding at the boundary).
+    log_z = np.log(np.abs(z))
+    log_cut, log_inv_p = math.log(nome.truncation.cutoff), -math.log(abs(p))
+    reach = np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p) / log_inv_p
+    counts = np.maximum(np.floor(reach) + 1, 0)
+    if counts.max() >= nome.truncation.max_terms:
+        raise TruncationBudgetError(
+            f"theta product needs more than {nome.truncation.max_terms} factors "
+            f"(|p| = {abs(p):.6g}, |z| up to {np.abs(z).max():.6g})")
+    inv_z = 1.0 / z
+    pj = complex(1.0)  # p^j built as the scalar loop builds it
+    result = None
+    for start in range(0, int(counts.max()), _BLOCK):
+        powers = []
+        for _ in range(_BLOCK):
+            powers.append(pj)
+            pj *= p
+        powers = np.array(powers)[:, None]
+        done = np.arange(start, start + _BLOCK)[:, None] >= counts
+        # Factors past an argument's count are exactly 1.  Halving a block
+        # multiplies the same pairs for every batch, and contiguous halves
+        # keep numpy on one rounding path whatever len(z) is.
+        factors = np.where(done, 1.0, (1.0 - powers * z) * (1.0 - (powers * p) * inv_z))
+        while len(factors) > 1:
+            half = len(factors) // 2
+            factors = factors[:half] * factors[half:]
+        result = factors[0] if result is None else result * factors[0]
+    if result is None:
+        return np.ones(len(z), dtype=complex)
+    if not np.isfinite(result).all():
+        raise NonFiniteError("theta overflowed")
+    return result
 
 
 def theta_product(zs, nome: EllipticNome) -> complex:

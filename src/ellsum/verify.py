@@ -36,7 +36,7 @@ from .catalog import (
     IdentityInstance,
 )
 from .errors import BalancingError, ResampleExhaustedError
-from .evaluate import evaluate_lhs, relative_error
+from .evaluate import count_terms, evaluate_lhs, relative_error
 from .sampler import REJECTION_REASONS, SampleConfig, _sample_with_values, sample_instance
 
 SCHEMA_VERSION = 1
@@ -346,18 +346,12 @@ def report_to_table(report: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _count_terms(instance: IdentityInstance) -> int:
-    from .evaluate import _LHS
-
-    domain, _ = _LHS[instance.identity_id]
-    return sum(1 for _ in domain(instance))
-
-
 def run_bench(identity_id: str, *, n: int | None, N_values, config: SampleConfig,
               p: complex | None = None, min_seconds: float = 0.05) -> list[dict]:
-    """Time evaluate_lhs with and without memoization over growing N.
+    """Time evaluate_lhs over growing N.
 
-    Returns one row per N with term counts and terms/second both ways.
+    Returns one row per N with the term count, seconds per evaluation and
+    terms per second.
     """
     rows = []
     for N in N_values:
@@ -366,18 +360,16 @@ def run_bench(identity_id: str, *, n: int | None, N_values, config: SampleConfig
         instance = sample_instance(
             identity_id, n=n, N=N if box is None else None, box=box,
             config=config, trial_index=0, p=p)
-        terms = _count_terms(instance)
-        row = {"identity": identity_id, "n": n, "N": N, "terms": terms}
-        for label, memoize in (("memoized", True), ("plain", False)):
-            reps = 0
-            t0 = time.perf_counter()
-            elapsed = 0.0
-            while elapsed < min_seconds:
-                evaluate_lhs(instance, memoize=memoize)
-                reps += 1
-                elapsed = time.perf_counter() - t0
-            seconds = elapsed / reps
-            row[f"{label}_seconds"] = seconds
-            row[f"{label}_terms_per_second"] = terms / seconds if seconds > 0 else float("inf")
-        rows.append(row)
+        terms = count_terms(instance)
+        reps = 0
+        t0 = time.perf_counter()
+        elapsed = 0.0
+        while elapsed < min_seconds:
+            evaluate_lhs(instance)
+            reps += 1
+            elapsed = time.perf_counter() - t0
+        seconds = elapsed / reps
+        rows.append({"identity": identity_id, "n": n, "N": N, "terms": terms,
+                     "seconds": seconds,
+                     "terms_per_second": terms / seconds if seconds > 0 else float("inf")})
     return rows

@@ -1,9 +1,11 @@
 """Tests for the identity evaluators: trivial values, branch transcription,
-symmetry invariances, memoization, and pole reporting."""
+symmetry invariances, a factor-by-factor scalar cross-check of every spec,
+range safety at large N, and pole reporting."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -12,16 +14,28 @@ from ellsum import (
     EllipticNome,
     PoleError,
     SampleConfig,
+    VerificationJob,
     elliptic_pochhammer,
     evaluate_lhs,
     evaluate_rhs,
     ipow,
     relative_error,
+    run_job,
     sample_instance,
     solve_balancing,
     theta,
 )
 from ellsum.catalog import SCALAR_N, VECTOR_BOX, VECTOR_ONLY
+from ellsum.evaluate import (
+    DOMAINS,
+    SIDES,
+    _bindings,
+    _form,
+    _monomial,
+    _parse,
+    _symbol_names,
+    _symbol_values,
+)
 from ellsum.verify import spread_box
 
 CONFIG = SampleConfig(seed=123)
@@ -209,22 +223,86 @@ def test_bt_lhs_invariant_under_c_e_swap():
 
 
 # ---------------------------------------------------------------------------
-# Mechanics: memoization, relative error, pole reporting
+# Mechanics: scalar cross-check, range safety, relative error, pole reporting
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("identity_id", ["gr-corollary", "bt-transform", "rs-jackson"])
-def test_memoization_does_not_change_values(identity_id):
-    inst = (_grid_instance(identity_id, 3, 3) if identity_id != "rs-jackson"
-            else sample_instance(identity_id, box=(1, 1, 1), config=CONFIG,
-                                 trial_index=0, p=0.2))
-    fast_lhs, fast_max = evaluate_lhs(inst, memoize=True)
-    slow_lhs, slow_max = evaluate_lhs(inst, memoize=False)
-    assert relative_error(fast_lhs, slow_lhs) < 1e-13
-    assert relative_error(fast_max, slow_max) < 1e-13
-    fast_rhs, _ = evaluate_rhs(inst, memoize=True)
-    slow_rhs, _ = evaluate_rhs(inst, memoize=False)
-    assert relative_error(fast_rhs, slow_rhs) < 1e-13
+def _reference_side(side, inst) -> tuple[complex, float]:
+    """(sum, max |term|) of the side term by term, every factor from the
+    scalar theta and elliptic_pochhammer: no plan, table, batch or exponent
+    bookkeeping."""
+    nome = inst.nome
+    n = len(inst.z) if inst.z is not None else 1
+    symbols = {name: k for k, name in enumerate(_symbol_names(inst.entry, n))}
+    values = _symbol_values(inst)
+    texts = (*side.common, *(side.odd if n % 2 else side.even))
+    terms = []
+    for x in DOMAINS[side.domain](inst):
+        x = (x,) if isinstance(x, int) else tuple(x) or (0,) * n
+        term = complex(1.0)
+        for factor in (f for text in texts for f in _parse(text)):
+            for binding in _bindings(factor.over, n):
+                env = {"|x|": sum(x), "N": inst.level, **binding}
+                for key, index in binding.items():
+                    env[f"x_{key}"] = x[index]
+                    if inst.box is not None:
+                        env[f"N_{key}"] = inst.box[index]
+                base = complex(1.0)
+                for k, power in _monomial(factor.base, env, symbols).items():
+                    base *= ipow(values[k], power)
+                shift = _form(factor.shift, env)
+                if factor.kind == "theta":
+                    value = theta(base * ipow(nome.q, shift), nome)
+                elif factor.kind == "poch":
+                    value = elliptic_pochhammer(base, shift, nome)
+                else:
+                    value = ipow(base, shift)
+                term = term / value if factor.den else term * value
+        terms.append(term)
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return total, max(map(abs, terms))
+
+
+@pytest.mark.parametrize("identity_id", sorted(CATALOG))
+def test_spec_matches_scalar_reference(identity_id):
+    # well-conditioned draws, so plain summation of the reference is good to 1e-12
+    config = SampleConfig(seed=11, condition_cap=10.0)
+    arity = CATALOG[identity_id].arity
+    for n, N, p in ((1, 2, 0.2), (2, 3, 0.05), (3, 2, 0.2), (4, 1, 0.0)):
+        if arity == SCALAR_N:
+            inst = sample_instance(identity_id, N=N, config=config, trial_index=n, p=p)
+        elif arity == VECTOR_ONLY:
+            inst = sample_instance(identity_id, n=n, config=config, trial_index=0, p=p)
+        elif arity == VECTOR_BOX:
+            inst = sample_instance(identity_id, box=spread_box(n, N), config=config,
+                                   trial_index=0, p=p)
+        else:
+            inst = sample_instance(identity_id, n=n, N=N, config=config, trial_index=0, p=p)
+        for side, evaluate in zip(SIDES[identity_id], (evaluate_lhs, evaluate_rhs)):
+            value, largest = evaluate(inst)
+            expected, expected_largest = _reference_side(side, inst)
+            assert relative_error(value, expected) < 1e-12, (n, N, p)
+            assert relative_error(largest, expected_largest) < 1e-12, (n, N, p)
+
+
+# Well-conditioned trials whose shifted factorials reach 1e210: products of
+# unscaled doubles over- and underflowed here before assembly was range-safe.
+@pytest.mark.parametrize("identity_id, n, N, trial, seed", [
+    ("gr-corollary", 4, 6, 0, 820338754536),
+    ("gr-corollary", 3, 7, 0, 523986011112),
+    ("gr-corollary", 3, 8, 2, 12884901911),
+    ("gr-corollary", 4, 8, 0, 60129542188),
+    ("bt-transform", 4, 8, 2, 51539607598),
+    ("bt-transform", 4, 8, 0, 12884901936),
+])
+def test_large_N_trials_pass(identity_id, n, N, trial, seed):
+    report = run_job(VerificationJob(
+        identities=("bt-transform", "gr-corollary", "njc-jackson", "general-jackson"),
+        n_values=(3, 4), N_values=(N,), trials=3, tolerance=1e-8,
+        config=SampleConfig(seed=seed, p_values=(0.2,), condition_cap=1e6)), jobs=1)
+    result, = (r for r in report.trials
+               if (r.identity_id, r.n, r.trial_index) == (identity_id, n, trial))
+    assert result.status == "pass", result.relative_error
 
 
 def test_relative_error_contract():
@@ -243,6 +321,21 @@ def test_pole_reported_with_index_and_description():
         evaluate_lhs(inst)
     assert excinfo.value.index is not None
     assert "theta" in excinfo.value.description
+
+
+def test_unused_lattice_point_is_not_a_pole():
+    # b = a q^(N+1) puts theta's zero at (aq/b) q^N, one factor past the
+    # longest (aq/b)_|x| any term multiplies: no term uses it, so no pole.
+    nome = EllipticNome(0.2, 0.6)
+    a, N = 0.7, 2
+    inst = solve_balancing("frenkel-turaev", {"a": a, "b": a * ipow(0.6, N + 1),
+                                              "c": 0.9 + 0.2j, "d": 1.1 - 0.3j},
+                           nome=nome, N=N)
+    aq_b = a * nome.q / inst.params["b"]
+    assert abs(theta(aq_b * ipow(nome.q, N), nome)) < 1e-12
+    lhs, _ = evaluate_lhs(inst, pole_floor=1e-4)
+    rhs, _ = evaluate_rhs(inst, pole_floor=1e-4)
+    assert relative_error(lhs, rhs) < 1e-10
 
 
 def test_near_pole_raises_only_with_floor():

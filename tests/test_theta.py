@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,55 @@ def test_nome_validation():
         TruncationPolicy(epsilon=0.0)
     with pytest.raises(ValueError):
         TruncationPolicy(max_terms=0)
+
+
+# ---------------------------------------------------------------------------
+# batched theta
+# ---------------------------------------------------------------------------
+
+
+def _arguments(count, seed=7):
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(-2, 2, count)) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.2 + 0.1j, 0.9])
+def test_theta_batch_matches_scalar(p):
+    z = _arguments(300)
+    batch = theta(z, nome(p))
+    for zk, value in zip(z.tolist(), batch.tolist()):
+        scalar = theta(zk, nome(p))
+        assert abs(value - scalar) <= 1e-14 * abs(scalar)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.2 + 0.1j])
+def test_theta_batch_value_independent_of_batch(p):
+    z = _arguments(64)
+    full = theta(z, nome(p))
+    for k in range(len(z)):
+        assert theta(z[k:k + 1], nome(p))[0] == full[k]
+    for width in (2, 5, 17):
+        for k in range(len(z) - width):
+            assert (theta(z[k:k + width], nome(p)) == full[k:k + width]).all()
+
+
+def test_theta_batch_trigonometric_is_exactly_one_minus_z():
+    z = np.append(_arguments(50), 0.0)
+    batch = theta(z, nome(0.0, max_terms=1))
+    assert np.array_equal(batch, 1.0 - z)
+    assert batch.tolist() == [1.0 - zk for zk in z.tolist()]
+
+
+def test_theta_batch_truncation_budget():
+    with pytest.raises(TruncationBudgetError):
+        theta(np.array([0.7, 0.5j]), EllipticNome(0.99, 0.5, TruncationPolicy(max_terms=5)))
+    with pytest.raises(TruncationBudgetError):
+        theta(np.array([0.7]), nome(0.9999999))
+
+
+def test_theta_batch_zero_argument_rejected():
+    with pytest.raises(ThetaDomainError):
+        theta(np.array([0.5, 0.0]), nome(0.2))
 
 
 def test_theta_product_empty_and_singleton():
