@@ -6,6 +6,7 @@ Run:  python3 demos/01_theta_and_shifted_factorials.py
 """
 
 import cmath
+import math
 
 from ellsum import (
     EllipticNome,
@@ -13,7 +14,6 @@ from ellsum import (
     elliptic_pochhammer,
     relative_error,
     theta,
-    theta_product,
 )
 
 # A nome bundles the deformation parameter p (|p| < 1), the shift base q,
@@ -38,7 +38,7 @@ print(f"quasi-period   theta(pz) vs -theta(z)/z  : "
 
 # The square of theta's argument factors through the half-lattice:
 root = cmath.sqrt(nome.p)
-quad = theta_product([z, -z, root * z, -root * z], nome)
+quad = math.prod(theta(w, nome) for w in (z, -z, root * z, -root * z))
 print(f"quadratic      theta(z^2) vs 4-factor    : "
       f"rel err {relative_error(theta(z * z, nome), quad):.2e}")
 

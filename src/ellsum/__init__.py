@@ -39,9 +39,7 @@ from .theta import (
     TruncationPolicy,
     elliptic_pochhammer,
     ipow,
-    pochhammer_product,
     theta,
-    theta_product,
 )
 from .verify import (
     TrialResult,
@@ -85,7 +83,6 @@ __all__ = [
     "evaluate_lhs",
     "evaluate_rhs",
     "ipow",
-    "pochhammer_product",
     "reduction_check",
     "rejection_report",
     "relative_error",
@@ -97,7 +94,6 @@ __all__ = [
     "sample_instance",
     "solve_balancing",
     "theta",
-    "theta_product",
     "tpf_lhs",
     "tpf_rhs",
     "weierstrass_rhs",

@@ -13,6 +13,13 @@ the constraint touches (b4, e, g, h).  Instances recompute every derived
 quantity (Z, the Bailey-shift lambda, constraint residuals) from their
 stored parameters rather than trusting caller input.
 
+The arity decides the index shape an instance carries, and only
+CatalogEntry.shape decides it: it maps a request (n, N, box) to the Shape
+(n, N, box) of an instance, dropping what the arity ignores and spreading a
+grid N over the box of the box-arity identity.  The sampler and the verifier
+resolve every request through it; solve_balancing accepts only a request
+that is already a shape.
+
 Identity ids (the closed enumeration used by the CLI and the verifier):
 
     frenkel-turaev    one-variable Jackson summation, a^2 q^(N+1) = bcde
@@ -38,7 +45,7 @@ Identity ids (the closed enumeration used by the CLI and the verifier):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import BalancingError
 from .theta import EllipticNome, ipow
@@ -92,6 +99,35 @@ class Constraint:
         raise AssertionError(f"unsupported dependent exponent {dep_exponent}")
 
 
+def spread_box(n: int, total: int) -> tuple[int, ...]:
+    """Round-robin spread of a total over n box coordinates."""
+    base, extra = divmod(total, n)
+    return tuple(base + (1 if i < extra else 0) for i in range(n))
+
+
+class Shape(NamedTuple):
+    """The index shape of an instance: n z-variables (None for a scalar
+    identity), then the truncation level N or the box limits N_1..N_n."""
+
+    n: int | None
+    N: int | None
+    box: tuple[int, ...] | None
+
+    @property
+    def level(self) -> int:
+        """The N that enters the balancing constraint (|box| for a box)."""
+        if self.box is not None:
+            return sum(self.box)
+        return 0 if self.N is None else self.N
+
+    @property
+    def level_code(self) -> tuple[int, ...]:
+        """The shape's share of a trial's RNG entropy, next to n."""
+        if self.box is not None:
+            return tuple(m + 1 for m in self.box)
+        return () if self.N is None else (self.N + 1,)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """Static description of one identity."""
@@ -102,7 +138,6 @@ class CatalogEntry:
     params: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     constraint_text: str
-    parity_dependent: bool
     lambda_rule: str | None = None  # "bcd" or "bde": lambda = a^2 q / (...)
 
     @property
@@ -113,6 +148,30 @@ class CatalogEntry:
     def free_params(self) -> tuple[str, ...]:
         deps = set(self.dependents)
         return tuple(name for name in self.params if name not in deps)
+
+    def shape(self, n: int | None = None, N: int | None = None,
+              box: tuple[int, ...] | None = None) -> Shape:
+        """The shape an instance of this identity carries for a request.
+
+        Drops what the arity ignores (n of a scalar identity, N of a
+        vector-only one, the box of all but the box arity, N when a box is
+        given) and spreads N over n box coordinates when no box is given.
+        Raises BalancingError for n < 1, N < 0 or bad box limits.
+        """
+        name, arity = self.identity_id, self.arity
+        if arity == VECTOR_BOX and box is not None:
+            box = tuple(int(m) for m in box)
+            if not box or min(box) < 0 or n not in (None, len(box)):
+                raise BalancingError(f"{name}: bad box limits {box} for n = {n}")
+            return Shape(len(box), None, box)
+        if arity != SCALAR_N and (n is None or n < 1):
+            raise BalancingError(f"{name}: needs n >= 1 variables, got {n}")
+        if arity != VECTOR_ONLY and (N is None or N < 0):
+            raise BalancingError(f"{name}: needs a truncation level N >= 0, got {N}")
+        if arity == VECTOR_BOX:
+            return Shape(n, None, spread_box(n, N))
+        return Shape(None if arity == SCALAR_N else n,
+                     None if arity == VECTOR_ONLY else N, None)
 
 
 def _exps(encoded: str) -> tuple[tuple[str, int], ...]:
@@ -138,7 +197,6 @@ _register(CatalogEntry(
     params=("a", "b", "c", "d", "e"),
     constraints=(Constraint(_exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),),
     constraint_text="a^2 q^(N+1) = b c d e",
-    parity_dependent=False,
 ))
 
 _register(CatalogEntry(
@@ -149,7 +207,6 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, 0, "g"),),
     constraint_text="a^3 q^(N+2) = b c d e f g",
-    parity_dependent=False,
     lambda_rule="bcd",
 ))
 
@@ -160,7 +217,6 @@ _register(CatalogEntry(
     params=("a", "b", "c", "d", "e"),
     constraints=(Constraint(_exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),),
     constraint_text="a^2 q^(|N|+1) = b c d e",
-    parity_dependent=False,
 ))
 
 _register(CatalogEntry(
@@ -170,7 +226,6 @@ _register(CatalogEntry(
     params=("b1", "b2", "b3", "b4"),
     constraints=(Constraint(_exps("b1:1 b2:1 b3:1 b4:1"), 0, 0, 2, "b4"),),
     constraint_text="b1 b2 b3 b4 Z^2 = 1",
-    parity_dependent=True,
 ))
 
 _register(CatalogEntry(
@@ -180,7 +235,6 @@ _register(CatalogEntry(
     params=("b1", "b2", "b3", "b4"),
     constraints=(Constraint(_exps("b1:1 b2:1 b3:1 b4:1"), 1, -1, 2, "b4"),),
     constraint_text="q^(N-1) b1 b2 b3 b4 Z^2 = 1",
-    parity_dependent=True,
 ))
 
 _register(CatalogEntry(
@@ -191,7 +245,6 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:2 b1:-1 b2:-1 b3:-1 b4:-1"), 1, 1, -2, "b4"),),
     constraint_text="a^2 q^(N+1) = b1 b2 b3 b4 Z^2",
-    parity_dependent=True,
 ))
 
 _register(CatalogEntry(
@@ -202,7 +255,6 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g"),),
     constraint_text="a^3 q^(N+2) = b c d e f g Z^2",
-    parity_dependent=True,
     lambda_rule="bcd",
 ))
 
@@ -214,7 +266,6 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g"),),
     constraint_text="a^3 q^(N+2) = b c d e f g Z^2",
-    parity_dependent=True,
     lambda_rule="bde",
 ))
 
@@ -226,7 +277,6 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e"),),
     constraint_text="a^2 q^(N+1) = b c d e Z^2",
-    parity_dependent=True,
 ))
 
 _register(CatalogEntry(
@@ -237,7 +287,6 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e"),),
     constraint_text="a^2 q^(N+1) = b c d e Z^2  (t arbitrary)",
-    parity_dependent=True,
 ))
 
 _register(CatalogEntry(
@@ -250,7 +299,6 @@ _register(CatalogEntry(
         Constraint(_exps("f:1 g:1 h:1 t:-1"), 0, 0, 2, "h"),
     ),
     constraint_text="a^2 q^(N+1) = b c d e  and  f g h Z^2 = t",
-    parity_dependent=True,
 ))
 
 #: Stable ordering of identity ids (also the CLI listing order).
@@ -305,11 +353,7 @@ class IdentityInstance:
     @property
     def level(self) -> int:
         """The N that enters the balancing constraint (|box| for box arity)."""
-        if self.box is not None:
-            return sum(self.box)
-        if self.N is not None:
-            return self.N
-        return 0
+        return Shape(self.n, self.N, self.box).level
 
     def constraint_residuals(self) -> tuple[float, ...]:
         """Relative residual |monomial - 1| of each balancing constraint."""
@@ -359,60 +403,24 @@ def solve_balancing(identity_id: str, partial: Mapping[str, complex], *,
         if value == 0:
             raise BalancingError(f"{identity_id}: parameter {name} must be nonzero")
 
-    # Arity checks.
-    if entry.arity == SCALAR_N:
-        if N is None or N < 0:
-            raise BalancingError(f"{identity_id}: needs a truncation level N >= 0")
-        if z is not None or box is not None:
-            raise BalancingError(f"{identity_id}: takes no variable vector")
-        z_tuple = None
-    elif entry.arity in (VECTOR_N, VECTOR_ONLY):
-        if not z:
-            raise BalancingError(f"{identity_id}: needs a variable vector z")
-        z_tuple = tuple(complex(v) for v in z)
-        if any(v == 0 for v in z_tuple):
-            raise BalancingError(f"{identity_id}: z entries must be nonzero")
-        if entry.arity == VECTOR_N:
-            if N is None or N < 0:
-                raise BalancingError(f"{identity_id}: needs a truncation level N >= 0")
-        elif N is not None:
-            raise BalancingError(f"{identity_id}: takes no truncation level")
-        if box is not None:
-            raise BalancingError(f"{identity_id}: takes no box limits")
-    elif entry.arity == VECTOR_BOX:
-        if box is None or len(box) == 0:
-            raise BalancingError(f"{identity_id}: needs box limits N_1..N_n")
-        box = tuple(int(m) for m in box)
-        if any(m < 0 for m in box):
-            raise BalancingError(f"{identity_id}: box limits must be >= 0")
-        if not z or len(z) != len(box):
-            raise BalancingError(f"{identity_id}: z must match the box length")
-        z_tuple = tuple(complex(v) for v in z)
-        if any(v == 0 for v in z_tuple):
-            raise BalancingError(f"{identity_id}: z entries must be nonzero")
-        if N is not None:
-            raise BalancingError(f"{identity_id}: box arity takes no scalar N")
-    else:  # pragma: no cover
-        raise AssertionError(entry.arity)
+    z = None if z is None else tuple(complex(v) for v in z)
+    if z is not None and any(v == 0 for v in z):
+        raise BalancingError(f"{identity_id}: z entries must be nonzero")
+    request = (None if z is None else len(z), N, None if box is None else tuple(box))
+    shape = entry.shape(*request)
+    if shape != request:
+        raise BalancingError(f"{identity_id}: takes (n, N, box) of the form "
+                             f"{tuple(shape)}, got {request}")
 
-    Z = complex(1.0)
-    if z_tuple is not None:
-        for v in z_tuple:
-            Z *= v
-    level = sum(box) if box is not None else (N if N is not None else 0)
-
+    instance = IdentityInstance(identity_id=identity_id, params=params, nome=nome,
+                                z=z, N=shape.N, box=shape.box)
+    Z = instance.Z if z is not None else complex(1.0)
     for constraint in entry.constraints:
-        value = constraint.solve(params, nome.q, level, Z)
+        value = constraint.solve(params, nome.q, shape.level, Z)
         if value == 0:
             raise BalancingError(
                 f"{identity_id}: constraint forces {constraint.dependent} = 0")
         params[constraint.dependent] = value
-
-    instance = IdentityInstance(
-        identity_id=identity_id, params=params, nome=nome,
-        z=z_tuple, N=N if entry.arity in (SCALAR_N, VECTOR_N) else None,
-        box=box if entry.arity == VECTOR_BOX else None,
-    )
     residuals = instance.constraint_residuals()
     if max(residuals) > CONSTRAINT_RESIDUAL_TOL:
         raise BalancingError(

@@ -14,7 +14,9 @@ Exit codes: 0 = verified, 1 = mathematical failure, 2 = usage or
 configuration error (including I/O problems writing the report).
 
 A config file (--config FILE) uses one `key = value` pair per line with
-`#` comments; recognized keys mirror the job fields:
+`#` comments.  Keys are case-sensitive (`n` and `N` are different keys),
+mirror the job fields and are the keys of OPTIONS; `identity` is an alias
+of `identities`:
 
     identities = all            # or comma-separated ids
     n = 1,2,3,4
@@ -31,7 +33,8 @@ A config file (--config FILE) uses one `key = value` pair per line with
     min-z-separation = 0.05
     format = json               # or table
 
-Command-line flags override config-file values.
+Command-line flags override config-file values.  An unknown key, a bad
+value and an ELLSUM_JOBS that is not an integer >= 1 exit 2.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .verify import (
     report_to_table,
     run_bench,
     run_job,
+    worker_count,
 )
 
 
@@ -59,67 +63,51 @@ class UsageError(Exception):
 
 def parse_complex_literal(text: str) -> complex:
     """Parse a real ('0.2') or complex ('0.1+0.05i') literal."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    try:
-        return complex(cleaned)
-    except ValueError:
-        raise UsageError(f"cannot parse complex literal {text!r}") from None
+    return complex(text.strip().replace(" ", "").replace("i", "j"))
 
 
-def parse_p_list(text: str) -> tuple[complex, ...]:
-    values = []
-    for token in text.split(","):
-        value = parse_complex_literal(token)
-        if abs(value) >= 1.0:
-            raise UsageError(f"|p| must be < 1, got {token!r}")
-        values.append(value)
-    if not values:
-        raise UsageError("need at least one p value")
-    return tuple(values)
+def _listed(cast):
+    """Parser of a comma-separated list of cast values."""
+    return lambda text: tuple(cast(token) for token in text.split(","))
 
 
-def parse_int_list(text: str, *, minimum: int, what: str) -> tuple[int, ...]:
-    values = []
-    for token in text.split(","):
-        try:
-            value = int(token)
-        except ValueError:
-            raise UsageError(f"bad {what} value {token!r}") from None
-        if value < minimum:
-            raise UsageError(f"{what} values must be >= {minimum}, got {value}")
-        values.append(value)
-    if not values:
-        raise UsageError(f"need at least one {what} value")
-    return tuple(values)
-
-
-def parse_range(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{what} must be 'lo,hi', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"bad {what} {text!r}") from None
-    if lo <= 0 or hi < lo:
-        raise UsageError(f"{what} must satisfy 0 < lo <= hi, got {text!r}")
+def _pair(text: str) -> tuple[float, float]:
+    lo, hi = map(float, text.split(","))
     return lo, hi
 
 
-def parse_identity_list(text: str) -> tuple[str, ...]:
-    if text.strip() == "all":
-        return IDENTITY_IDS
-    ids = tuple(token.strip() for token in text.split(",") if token.strip())
-    for identity_id in ids:
-        if identity_id not in CATALOG:
-            raise UsageError(
-                f"unknown identity {identity_id!r}; run `ellsum list`")
-    if not ids:
-        raise UsageError("need at least one identity id")
-    return ids
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+#: verify's settings: (config-file key, flag or None for file only, default,
+#: parser, flag help).  Flags override the file, the file the default; the
+#: job and sampler config check the parsed values.
+OPTIONS = (
+    ("identities", "--identity", "all", _listed(str.strip), "comma-separated ids or 'all'"),
+    ("n", "--n", "1,2,3,4", _listed(int), "comma-separated n values (vector identities)"),
+    ("N", "--N", "0,1,2,3,4", _listed(int), "comma-separated truncation levels"),
+    ("trials", "--trials", "25", int, "trials per grid cell"),
+    ("seed", "--seed", "0", int, "sampler seed"),
+    ("tolerance", "--tol", "1e-8", float, "pass tolerance on relative error"),
+    ("p", "--p", "0,0.05,0.2", _listed(parse_complex_literal),
+     "comma-separated nome values (|p| < 1)"),
+    ("q-range", "--q-range", "0.2,1.5", _pair, "lo,hi for |q|"),
+    ("modulus-range", None, "0.2,1.5", _pair, None),
+    ("pole-floor", None, "1e-4", float, None),
+    ("condition-cap", None, "1e6", float, None),
+    ("max-resamples", None, "200", int, None),
+    ("min-z-separation", None, "0.05", float, None),
+    ("format", "--format", "json", str, "report format: json or table"),
+)
 
 
 def load_config_file(path: str) -> dict[str, str]:
+    """{key: raw value} of a config file; an unknown key is a UsageError."""
+    keys = {key for key, *_ in OPTIONS}
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -127,11 +115,12 @@ def load_config_file(path: str) -> dict[str, str]:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise UsageError(
-                        f"{path}:{line_number}: expected 'key = value'")
-                values[key.strip().lower()] = value.strip()
+                key, sep, value = (part.strip() for part in line.partition("="))
+                key = "identities" if key == "identity" else key
+                if not sep or key not in keys:
+                    problem = f"unknown key {key!r}" if sep else "expected 'key = value'"
+                    raise UsageError(f"{path}:{line_number}: {problem}")
+                values[key] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return values
@@ -146,15 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification job")
-    verify.add_argument("--identity", help="comma-separated ids or 'all'")
-    verify.add_argument("--n", help="comma-separated n values (vector identities)")
-    verify.add_argument("--N", help="comma-separated truncation levels")
-    verify.add_argument("--trials", type=int, help="trials per grid cell")
-    verify.add_argument("--seed", type=int, help="sampler seed")
-    verify.add_argument("--tol", type=float, help="pass tolerance on relative error")
-    verify.add_argument("--p", help="comma-separated nome values (|p| < 1)")
-    verify.add_argument("--q-range", dest="q_range", help="lo,hi for |q|")
-    verify.add_argument("--format", choices=("json", "table"), help="report format")
+    for key, flag, _, _, text in OPTIONS:
+        if flag:
+            verify.add_argument(flag, dest=key, help=text)
     verify.add_argument("--out", help="write the report to this file")
     verify.add_argument("--config", help="key = value config file")
     verify.add_argument("--jobs", type=int, help="worker processes (default: "
@@ -166,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the property suites")
     selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--theta-samples", type=int, default=1000)
-    selftest.add_argument("--kernel-samples", type=int, default=500)
+    selftest.add_argument("--theta-samples", type=_positive_int, default=1000)
+    selftest.add_argument("--kernel-samples", type=_positive_int, default=500)
     selftest.set_defaults(func=_cmd_selftest)
 
     bench = sub.add_parser("bench", help="time the left-side evaluator")
@@ -180,67 +163,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick(cli_value, file_values: dict, key: str, fallback):
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        return file_values[key]
-    return fallback
-
-
 def _cmd_verify(args) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-
-    identity_text = _pick(args.identity, file_values, "identities",
-                          _pick(None, file_values, "identity", "all"))
-    identities = parse_identity_list(str(identity_text))
-
-    n_text = str(_pick(args.n, file_values, "n", "1,2,3,4"))
-    n_values = parse_int_list(n_text, minimum=1, what="n")
-
-    N_text = str(_pick(args.N, file_values, "N".lower(), "0,1,2,3,4"))
-    N_values = parse_int_list(N_text, minimum=0, what="N")
-
-    def _number(cli_value, key, fallback, cast):
-        raw = _pick(cli_value, file_values, key, fallback)
+    raw = {key: default for key, _, default, _, _ in OPTIONS}
+    if args.config:
+        raw.update(load_config_file(args.config))
+    flags = vars(args)
+    raw.update({key: flags[key] for key, flag, *_ in OPTIONS
+                if flag and flags[key] is not None})
+    value = {}
+    for key, _, _, parse, _ in OPTIONS:
         try:
-            return cast(raw)
-        except (TypeError, ValueError):
-            raise UsageError(f"bad value for {key}: {raw!r}") from None
-
-    trials = _number(args.trials, "trials", 25, int)
-    seed = _number(args.seed, "seed", 0, int)
-    tolerance = _number(args.tol, "tolerance", 1e-8, float)
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    if tolerance < 0:
-        raise UsageError("tolerance must be >= 0")
-
-    p_values = parse_p_list(str(_pick(args.p, file_values, "p", "0,0.05,0.2")))
-    q_range = parse_range(str(_pick(args.q_range, file_values, "q-range",
-                                    "0.2,1.5")), "q-range")
-    modulus_range = parse_range(str(_pick(None, file_values, "modulus-range",
-                                          "0.2,1.5")), "modulus-range")
-    pole_floor = _number(None, "pole-floor", 1e-4, float)
-    condition_cap = _number(None, "condition-cap", 1e6, float)
-    max_resamples = _number(None, "max-resamples", 200, int)
-    min_z_separation = _number(None, "min-z-separation", 0.05, float)
-    output_format = str(_pick(args.format, file_values, "format", "json"))
+            value[key] = parse(raw[key])
+        except ValueError:
+            raise UsageError(f"bad value for {key}: {raw[key]!r}") from None
 
     try:
         config = SampleConfig(
-            seed=seed, modulus_range=modulus_range, p_values=p_values,
-            q_range=q_range, pole_floor=pole_floor,
-            condition_cap=condition_cap, max_resamples=max_resamples,
-            min_z_separation=min_z_separation)
+            seed=value["seed"], modulus_range=value["modulus-range"],
+            p_values=value["p"], q_range=value["q-range"],
+            pole_floor=value["pole-floor"], condition_cap=value["condition-cap"],
+            max_resamples=value["max-resamples"],
+            min_z_separation=value["min-z-separation"])
         job = VerificationJob(
-            identities=identities, n_values=n_values, N_values=N_values,
-            trials=trials, tolerance=tolerance, config=config,
-            output_format=output_format)
+            identities=value["identities"], n_values=value["n"], N_values=value["N"],
+            trials=value["trials"], tolerance=value["tolerance"], config=config,
+            output_format=value["format"])
+        jobs = worker_count(args.jobs)
     except (ValueError, BalancingError) as exc:
         raise UsageError(str(exc)) from None
 
-    report = run_job(job, jobs=args.jobs)
+    report = run_job(job, jobs=jobs)
     text = (report_to_json(report) if job.output_format == "json"
             else report_to_table(report))
     if args.out:
@@ -277,13 +229,13 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.identity not in CATALOG:
-        raise UsageError(f"unknown identity {args.identity!r}")
-    N_values = parse_int_list(args.N, minimum=0, what="N")
-    p = parse_p_list(args.p)[0]
-    config = SampleConfig(seed=args.seed)
-    rows = run_bench(args.identity, n=args.n, N_values=N_values,
-                     config=config, p=p)
+    try:
+        config = SampleConfig(seed=args.seed,
+                              p_values=_listed(parse_complex_literal)(args.p))
+        rows = run_bench(args.identity, n=args.n, N_values=_listed(int)(args.N),
+                         config=config)
+    except (ValueError, BalancingError) as exc:
+        raise UsageError(str(exc)) from None
     print(f"{'N':>4} {'terms':>7} {'us/eval':>10} {'terms/s':>12}")
     for row in rows:
         print(f"{row['N']:>4} {row['terms']:>7} {row['seconds'] * 1e6:>10.1f} "

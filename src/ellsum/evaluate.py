@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import SCALAR_N, IdentityInstance
+from .catalog import IdentityInstance
 from .errors import NonFiniteError, PoleError
 from .kernels import box_indices, compositions_bounded, compositions_exact
 from .theta import EllipticNome, theta
@@ -298,11 +298,11 @@ def _monomial(text: str, env: dict, symbols: dict) -> dict[int, int]:
     return {k: e for k, e in out.items() if e}
 
 
-def _symbol_names(entry, n: int) -> list[str]:
-    names = [*entry.params, "q"]
-    if entry.arity != SCALAR_N:
-        names += ["Z", *(f"z_{k}" for k in range(n))]
-    return names + (["lam"] if entry.lambda_rule else [])
+def _symbol_names(inst: IdentityInstance) -> list[str]:
+    names = [*inst.entry.params, "q"]
+    if inst.z is not None:
+        names += ["Z", *(f"z_{k}" for k in range(len(inst.z)))]
+    return names + (["lam"] if inst.entry.lambda_rule else [])
 
 
 def _symbol_values(inst: IdentityInstance) -> list[complex]:
@@ -326,7 +326,7 @@ class _Plan:
 
     def __init__(self, side: Side, inst: IdentityInstance, xs: tuple, detail=False):
         n = len(inst.z) if inst.z is not None else 1
-        symbols = {name: k for k, name in enumerate(_symbol_names(inst.entry, n))}
+        symbols = {name: k for k, name in enumerate(_symbol_names(inst))}
         count = len(xs)
         x = np.array(xs, dtype=np.int64).reshape(count, -1)
         if not x.size:  # the empty index of a closed side is x = 0

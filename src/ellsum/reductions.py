@@ -38,26 +38,6 @@ from .errors import BalancingError
 from .evaluate import evaluate_lhs, evaluate_rhs, relative_error
 from .theta import ipow, theta
 
-REDUCTION_KINDS = (
-    "gr-sum-to-theta-lemma",
-    "gr-corollary-to-gr-sum",
-    "bt-unit-lhs",
-    "bt-to-gr-corollary",
-    "gr-corollary-to-frenkel-turaev",
-    "general-to-jts",
-)
-
-#: Which identity each reduction kind expects as input.
-REDUCTION_INPUT = {
-    "gr-sum-to-theta-lemma": "gr-sum",
-    "gr-corollary-to-gr-sum": "gr-corollary",
-    "bt-unit-lhs": "bt-transform",
-    "bt-to-gr-corollary": "bt-transform",
-    "gr-corollary-to-frenkel-turaev": "gr-corollary",
-    "general-to-jts": "general-jackson",
-}
-
-
 @dataclass(frozen=True)
 class ReductionResult:
     kind: str
@@ -75,7 +55,7 @@ def _require(condition: bool, message: str):
         raise BalancingError(f"reduction premise violated: {message}")
 
 
-def _check_gr_sum_to_theta_lemma(inst, tolerance, pole_floor):
+def _check_gr_sum_to_theta_lemma(inst, pole_floor):
     _require(inst.N == 1, "gr-sum instance must have N = 1")
     lemma = solve_balancing(
         "theta-lemma",
@@ -94,7 +74,7 @@ def _check_gr_sum_to_theta_lemma(inst, tolerance, pole_floor):
     return residual, "theta(q) * gr-sum sides vs theta-lemma sides"
 
 
-def _check_gr_corollary_to_gr_sum(inst, tolerance, pole_floor):
+def _check_gr_corollary_to_gr_sum(inst, pole_floor):
     a = inst.params["a"]
     extra = ipow(inst.nome.q, -inst.N) / a
     grown = solve_balancing(
@@ -111,13 +91,13 @@ def _check_gr_corollary_to_gr_sum(inst, tolerance, pole_floor):
     return residual, "cross ratio of gr-sum (n+1 vars) vs gr-corollary sides"
 
 
-def _check_bt_unit_lhs(inst, tolerance, pole_floor):
+def _check_bt_unit_lhs(inst, pole_floor):
     _require(inst.params["b"] == 1, "bt-transform instance must have b = 1")
     lhs, _ = evaluate_lhs(inst, pole_floor=pole_floor)
     return relative_error(lhs, 1.0), "bt-transform left side vs 1"
 
 
-def _check_bt_to_gr_corollary(inst, tolerance, pole_floor):
+def _check_bt_to_gr_corollary(inst, pole_floor):
     p_ = inst.params
     aq = p_["a"] * inst.nome.q
     _require(relative_error(aq, p_["b"] * p_["c"]) < 1e-10,
@@ -136,7 +116,7 @@ def _check_bt_to_gr_corollary(inst, tolerance, pole_floor):
     return residual, "bt-transform sides vs gr-corollary sides at aq = bc"
 
 
-def _check_gr_corollary_to_frenkel_turaev(inst, tolerance, pole_floor):
+def _check_gr_corollary_to_frenkel_turaev(inst, pole_floor):
     _require(inst.n == 1, "gr-corollary instance must have n = 1")
     p_ = inst.params
     z1 = inst.z[0]
@@ -155,7 +135,7 @@ def _check_gr_corollary_to_frenkel_turaev(inst, tolerance, pole_floor):
     return residual, "gr-corollary n=1 sides vs frenkel-turaev sides"
 
 
-def _check_general_to_jts(inst, tolerance, pole_floor):
+def _check_general_to_jts(inst, pole_floor):
     p_ = inst.params
     Z = inst.Z
     if inst.n % 2 == 1:
@@ -180,14 +160,17 @@ def _check_general_to_jts(inst, tolerance, pole_floor):
     return residual, "general-jackson sides vs jts-jackson sides at the pin"
 
 
-_CHECKS = {
-    "gr-sum-to-theta-lemma": _check_gr_sum_to_theta_lemma,
-    "gr-corollary-to-gr-sum": _check_gr_corollary_to_gr_sum,
-    "bt-unit-lhs": _check_bt_unit_lhs,
-    "bt-to-gr-corollary": _check_bt_to_gr_corollary,
-    "gr-corollary-to-frenkel-turaev": _check_gr_corollary_to_frenkel_turaev,
-    "general-to-jts": _check_general_to_jts,
+#: Reduction kind -> (the identity it expects as input, its check).
+_REDUCTIONS = {
+    "gr-sum-to-theta-lemma": ("gr-sum", _check_gr_sum_to_theta_lemma),
+    "gr-corollary-to-gr-sum": ("gr-corollary", _check_gr_corollary_to_gr_sum),
+    "bt-unit-lhs": ("bt-transform", _check_bt_unit_lhs),
+    "bt-to-gr-corollary": ("bt-transform", _check_bt_to_gr_corollary),
+    "gr-corollary-to-frenkel-turaev": ("gr-corollary", _check_gr_corollary_to_frenkel_turaev),
+    "general-to-jts": ("general-jackson", _check_general_to_jts),
 }
+
+REDUCTION_KINDS = tuple(_REDUCTIONS)
 
 
 def reduction_check(kind: str, inst: IdentityInstance, *,
@@ -198,14 +181,14 @@ def reduction_check(kind: str, inst: IdentityInstance, *,
     Raises BalancingError when the instance does not match the premise
     (wrong identity, wrong n/N, pinned parameter not at its pinned value).
     """
-    if kind not in _CHECKS:
+    if kind not in _REDUCTIONS:
         raise ValueError(f"unknown reduction kind {kind!r}; "
                          f"choose from {REDUCTION_KINDS}")
-    expected = REDUCTION_INPUT[kind]
+    expected, check = _REDUCTIONS[kind]
     if inst.identity_id != expected:
         raise BalancingError(
             f"reduction {kind} expects a {expected} instance, "
             f"got {inst.identity_id}")
-    residual, detail = _CHECKS[kind](inst, tolerance, pole_floor)
+    residual, detail = check(inst, pole_floor)
     return ReductionResult(kind=kind, residual=residual,
                            tolerance=tolerance, detail=detail)

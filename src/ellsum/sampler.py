@@ -29,15 +29,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .catalog import (
-    CATALOG,
-    IDENTITY_IDS,
-    SCALAR_N,
-    VECTOR_BOX,
-    VECTOR_ONLY,
-    IdentityInstance,
-    solve_balancing,
-)
+from .catalog import CATALOG, IDENTITY_IDS, IdentityInstance, Shape, solve_balancing
 from .errors import BalancingError, EllipticError, PoleError, ResampleExhaustedError
 from .evaluate import evaluate_lhs, evaluate_rhs
 from .theta import EllipticNome, TruncationPolicy
@@ -81,17 +73,16 @@ def _float_bits(value: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
-def _rng_for(config: SampleConfig, identity_id: str, n: int | None,
-             level_code: tuple[int, ...], trial_index: int,
+def _rng_for(config: SampleConfig, identity_id: str, shape: Shape, trial_index: int,
              p: complex) -> np.random.Generator:
     entropy = [
         config.seed & 0xFFFFFFFFFFFFFFFF,
         IDENTITY_IDS.index(identity_id),
-        0 if n is None else n + 1,
+        0 if shape.n is None else shape.n + 1,
         trial_index,
         _float_bits(complex(p).real),
         _float_bits(complex(p).imag),
-        *level_code,
+        *shape.level_code,
     ]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
@@ -103,26 +94,29 @@ def _draw(rng: np.random.Generator, lo: float, hi: float) -> complex:
     return complex(modulus * math.cos(phase), modulus * math.sin(phase))
 
 
+def _lattice_distance(w: complex, p: complex) -> float:
+    """Distance from w to the zero set p^Z of theta(.; p), over the lattice
+    points of modulus 1e-6 .. 1e6."""
+    if p == 0:
+        return abs(w - 1.0)
+    best = abs(w - 1.0)
+    pk = complex(p)
+    while abs(pk) > 1e-6:
+        best = min(best, abs(w - pk))
+        pk *= p
+    pk = 1.0 / complex(p)
+    while abs(pk) < 1e6:
+        best = min(best, abs(w - pk))
+        pk /= p
+    return best
+
+
 def _z_separated(z: tuple[complex, ...], p: complex, min_sep: float) -> bool:
-    """Pairwise ratios must stay min_sep away from the zero set p^Z of theta."""
-    n = len(z)
-    points = [complex(1.0)]
-    if p != 0:
-        w = complex(p)
-        while abs(w) > 1e-3:
-            points.append(w)
-            w *= p
-        w = 1.0 / complex(p)
-        while abs(w) < 1e3:
-            points.append(w)
-            w /= p
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            ratio = z[j] / z[i]
-            for point in points:
-                if abs(ratio - point) < min_sep or abs(1.0 / ratio - point) < min_sep:
-                    return False
-    return True
+    """Pairwise ratios and their inverses must stay min_sep away from the
+    zero set p^Z of theta."""
+    ratios = [z[j] / z[i] for i in range(len(z)) for j in range(i + 1, len(z))]
+    return all(_lattice_distance(w, p) >= min_sep
+               for ratio in ratios for w in (ratio, 1.0 / ratio))
 
 
 PinnedValue = complex | Callable[[dict], complex]
@@ -142,16 +136,10 @@ def _apply_pins(drawn: dict[str, complex], pinned: Mapping[str, PinnedValue] | N
     return out
 
 
-class _Rejected(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
-def _attempt(identity_id: str, *, n, N, box, config: SampleConfig, p: complex,
-             rng: np.random.Generator,
-             pinned: Mapping[str, PinnedValue] | None):
-    """One sampling attempt; returns (instance, lhs, rhs, condition) or
-    raises _Rejected."""
+def _attempt(identity_id: str, shape: Shape, *, config: SampleConfig, p: complex,
+             rng: np.random.Generator, pinned: Mapping[str, PinnedValue] | None):
+    """One sampling attempt: (REJECTION_REASONS entry, result), where result
+    is (instance, lhs, rhs, condition) on a pass and None otherwise."""
     entry = CATALOG[identity_id]
     lo, hi = config.modulus_range
     q = _draw(rng, *config.q_range)
@@ -159,41 +147,34 @@ def _attempt(identity_id: str, *, n, N, box, config: SampleConfig, p: complex,
 
     drawn = {name: _draw(rng, lo, hi) for name in entry.free_params}
 
-    z = None
-    if entry.arity not in (SCALAR_N,):
-        z = tuple(_draw(rng, lo, hi) for _ in range(n))
-
-    level = sum(box) if box is not None else (N if N is not None else 0)
+    z = None if shape.n is None else tuple(_draw(rng, lo, hi) for _ in range(shape.n))
     Z = complex(1.0)
     if z is not None:
         for v in z:
             Z *= v
-    params = _apply_pins(drawn, pinned, {"z": z, "q": q, "N": level, "Z": Z})
+    params = _apply_pins(drawn, pinned, {"z": z, "q": q, "N": shape.level, "Z": Z})
 
     if z is not None and not _z_separated(z, complex(p), config.min_z_separation):
-        raise _Rejected("separation")
+        return "separation", None
 
     try:
-        instance = solve_balancing(
-            identity_id, params, nome=nome, z=z,
-            N=N if entry.arity not in (VECTOR_BOX, VECTOR_ONLY) else None,
-            box=box)
-    except BalancingError as exc:
-        raise _Rejected("magnitude") from exc
+        instance = solve_balancing(identity_id, params, nome=nome, z=z, N=shape.N,
+                                   box=shape.box)
+    except BalancingError:
+        return "magnitude", None
 
     lo_mag, hi_mag = DEPENDENT_MAGNITUDE_RANGE
     for name in entry.dependents:
-        magnitude = abs(instance.params[name])
-        if not lo_mag <= magnitude <= hi_mag:
-            raise _Rejected("magnitude")
+        if not lo_mag <= abs(instance.params[name]) <= hi_mag:
+            return "magnitude", None
 
     try:
         lhs, lhs_max = evaluate_lhs(instance, pole_floor=config.pole_floor)
         rhs, rhs_max = evaluate_rhs(instance, pole_floor=config.pole_floor)
-    except PoleError as exc:
-        raise _Rejected("pole") from exc
-    except EllipticError as exc:
-        raise _Rejected("condition") from exc
+    except PoleError:
+        return "pole", None
+    except EllipticError:
+        return "condition", None
 
     condition = 0.0
     for value, max_abs in ((lhs, lhs_max), (rhs, rhs_max)):
@@ -201,11 +182,18 @@ def _attempt(identity_id: str, *, n, N, box, config: SampleConfig, p: complex,
         if magnitude == 0.0:
             if max_abs == 0.0:
                 continue
-            raise _Rejected("condition")
+            return "condition", None
         condition = max(condition, max_abs / magnitude)
     if condition > config.condition_cap:
-        raise _Rejected("condition")
-    return instance, lhs, rhs, condition
+        return "condition", None
+    return "pass", (instance, lhs, rhs, condition)
+
+
+def _shape(identity_id: str, n, N, box) -> Shape:
+    """The requested shape, resolved before any draw."""
+    if identity_id not in CATALOG:
+        raise BalancingError(f"unknown identity id {identity_id!r}")
+    return CATALOG[identity_id].shape(n, N, box)
 
 
 def _sample_with_values(identity_id: str, *, n=None, N=None, box=None,
@@ -213,39 +201,16 @@ def _sample_with_values(identity_id: str, *, n=None, N=None, box=None,
                         p: complex | None = None,
                         pinned: Mapping[str, PinnedValue] | None = None):
     """Sampling loop; returns (instance, lhs, rhs, condition, histogram)."""
-    if identity_id not in CATALOG:
-        raise BalancingError(f"unknown identity id {identity_id!r}")
-    entry = CATALOG[identity_id]
-    if p is None:
-        p = config.p_values[0]
-    p = complex(p)
-    if entry.arity == VECTOR_BOX:
-        if box is None:
-            raise BalancingError(f"{identity_id}: sampler needs box limits")
-        box = tuple(int(m) for m in box)
-        n = len(box)
-        level_code = tuple(m + 1 for m in box)
-    elif entry.arity == VECTOR_ONLY:
-        N = None
-        level_code = ()
-    elif entry.arity == SCALAR_N:
-        n = None
-        level_code = (N + 1,)
-    else:
-        level_code = (N + 1,)
-
-    rng = _rng_for(config, identity_id, n, level_code, trial_index, p)
-    histogram = {reason: 0 for reason in REJECTION_REASONS}
+    shape = _shape(identity_id, n, N, box)
+    p = complex(config.p_values[0] if p is None else p)
+    rng = _rng_for(config, identity_id, shape, trial_index, p)
+    histogram = dict.fromkeys(REJECTION_REASONS, 0)
     for _ in range(config.max_resamples):
-        try:
-            instance, lhs, rhs, condition = _attempt(
-                identity_id, n=n, N=N, box=box, config=config, p=p,
-                rng=rng, pinned=pinned)
-        except _Rejected as rejection:
-            histogram[rejection.reason] += 1
-            continue
-        histogram["pass"] += 1
-        return instance, lhs, rhs, condition, histogram
+        reason, result = _attempt(identity_id, shape, config=config, p=p, rng=rng,
+                                  pinned=pinned)
+        histogram[reason] += 1
+        if result is not None:
+            return (*result, histogram)
     raise ResampleExhaustedError(
         f"{identity_id}: no acceptable instance in {config.max_resamples} attempts",
         histogram)
@@ -258,8 +223,10 @@ def sample_instance(identity_id: str, *, n=None, N=None, box=None,
     """Deterministically sample one gated instance of an identity.
 
     The result is a pure function of (config, identity_id, n, N/box,
-    trial_index, p).  Raises ResampleExhaustedError with the rejection
-    histogram when max_resamples draws all fail a gate.
+    trial_index, p).  The request (n, N, box) is resolved by
+    CatalogEntry.shape first, so a bad one raises BalancingError before any
+    draw.  Raises ResampleExhaustedError with the rejection histogram when
+    max_resamples draws all fail a gate.
     """
     instance, _, _, _, _ = _sample_with_values(
         identity_id, n=n, N=N, box=box, config=config,
@@ -270,31 +237,13 @@ def sample_instance(identity_id: str, *, n=None, N=None, box=None,
 def rejection_report(identity_id: str, *, n=None, N=None, box=None,
                      config: SampleConfig, count: int,
                      p: complex | None = None) -> dict[str, int]:
-    """Tally pass/pole/magnitude/condition over `count` single attempts."""
-    entry = CATALOG[identity_id]
-    if p is None:
-        p = config.p_values[0]
-    p = complex(p)
-    if entry.arity == VECTOR_BOX:
-        box = tuple(int(m) for m in box)
-        n = len(box)
-        level_code = tuple(m + 1 for m in box)
-    elif entry.arity == VECTOR_ONLY:
-        N = None
-        level_code = ()
-    elif entry.arity == SCALAR_N:
-        n = None
-        level_code = (N + 1,)
-    else:
-        level_code = (N + 1,)
-    histogram = {reason: 0 for reason in REJECTION_REASONS}
+    """Tally pass/pole/separation/magnitude/condition over the first
+    attempt of `count` trials."""
+    shape = _shape(identity_id, n, N, box)
+    p = complex(config.p_values[0] if p is None else p)
+    histogram = dict.fromkeys(REJECTION_REASONS, 0)
     for trial_index in range(count):
-        rng = _rng_for(config, identity_id, n, level_code, trial_index, p)
-        try:
-            _attempt(identity_id, n=n, N=N, box=box, config=config, p=p,
-                     rng=rng, pinned=None)
-        except _Rejected as rejection:
-            histogram[rejection.reason] += 1
-            continue
-        histogram["pass"] += 1
+        rng = _rng_for(config, identity_id, shape, trial_index, p)
+        histogram[_attempt(identity_id, shape, config=config, p=p, rng=rng,
+                           pinned=None)[0]] += 1
     return histogram

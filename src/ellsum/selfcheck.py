@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import EllipticError
 from .kernels import delta_ratio, delta_ratio_alt, tpf_lhs, tpf_rhs, weierstrass_rhs
+from .sampler import _draw, _lattice_distance
 from .theta import EllipticNome, elliptic_pochhammer, ipow, theta
 from .evaluate import relative_error
 
@@ -60,30 +61,8 @@ def _rng(seed: int, suite: int) -> np.random.Generator:
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, suite])))
 
 
-def _draw(rng, lo: float, hi: float) -> complex:
-    modulus = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(modulus * math.cos(phase), modulus * math.sin(phase))
-
-
 def _draw_p(rng, lo: float = 1e-3, hi: float = 0.5) -> complex:
     return _draw(rng, lo, hi)
-
-
-def _lattice_distance(w: complex, p: complex) -> float:
-    """Distance from w to the zero set p^Z of theta(.; p)."""
-    if p == 0:
-        return abs(w - 1.0)
-    best = abs(w - 1.0)
-    pk = complex(p)
-    while abs(pk) > 1e-6:
-        best = min(best, abs(w - pk))
-        pk *= p
-    pk = 1.0 / complex(p)
-    while abs(pk) < 1e6:
-        best = min(best, abs(w - pk))
-        pk /= p
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -192,14 +192,6 @@ def _theta_array(z: np.ndarray, nome: EllipticNome) -> np.ndarray:
     return result
 
 
-def theta_product(zs, nome: EllipticNome) -> complex:
-    """theta(z_1) * ... * theta(z_m); the empty product is 1."""
-    result = complex(1.0)
-    for z in zs:
-        result *= theta(z, nome)
-    return result
-
-
 def elliptic_pochhammer(z: complex, k: int, nome: EllipticNome) -> complex:
     """The shifted factorial (z)_k with step q, for any integer k.
 
@@ -234,12 +226,4 @@ def elliptic_pochhammer(z: complex, k: int, nome: EllipticNome) -> complex:
     result = 1.0 / denominator
     if not cmath.isfinite(result):
         raise NonFiniteError(f"({z})_{k} overflowed")
-    return result
-
-
-def pochhammer_product(zs, k: int, nome: EllipticNome) -> complex:
-    """(z_1)_k * ... * (z_m)_k; the empty product is 1."""
-    result = complex(1.0)
-    for z in zs:
-        result *= elliptic_pochhammer(z, k, nome)
     return result

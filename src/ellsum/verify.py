@@ -8,12 +8,14 @@ the identity, n, N, p position, trial index); failing trials embed the
 full instance so they can be replayed standalone.
 
 Trial evaluation is embarrassingly parallel.  The ELLSUM_JOBS environment
-variable sets the default number of worker processes (1 = in-process);
-the report bytes do not depend on the degree.
+variable sets the default number of worker processes (1 = in-process; a
+value that is not an integer >= 1 is a ValueError); the report bytes do not
+depend on the degree.
 
-Box limits for the box-arity identity are derived from the grid's (n, N)
-by spreading N over n coordinates round-robin, e.g. n=3, N=4 -> (2, 1, 1),
-so the box total always matches the grid's N.
+Each grid point (n, N) is resolved to an index shape by CatalogEntry.shape.
+Box limits for the box-arity identity come from spreading N over n
+coordinates round-robin, e.g. n=3, N=4 -> (2, 1, 1), so the box total
+always matches the grid's N.
 """
 
 from __future__ import annotations
@@ -27,14 +29,7 @@ from datetime import datetime, timezone
 from typing import Any
 
 from ._version import __version__
-from .catalog import (
-    CATALOG,
-    IDENTITY_IDS,
-    SCALAR_N,
-    VECTOR_BOX,
-    VECTOR_ONLY,
-    IdentityInstance,
-)
+from .catalog import CATALOG, IDENTITY_IDS, IdentityInstance
 from .errors import BalancingError, ResampleExhaustedError
 from .evaluate import count_terms, evaluate_lhs, relative_error
 from .sampler import REJECTION_REASONS, SampleConfig, _sample_with_values, sample_instance
@@ -110,40 +105,29 @@ class VerificationReport:
     timing: dict
 
 
-def spread_box(n: int, total: int) -> tuple[int, ...]:
-    """Round-robin spread of a total over n box coordinates."""
-    base, extra = divmod(total, n)
-    return tuple(base + (1 if i < extra else 0) for i in range(n))
-
-
 def _cells_of(job: VerificationJob):
-    """Deterministic cell list: (identity, n, N-or-box, p index)."""
+    """Deterministic cell list: (identity, Shape, p index, p).
+
+    Each (n, N) of the grid is resolved by CatalogEntry.shape; grid points
+    that resolve to the same shape (the n of a scalar identity, the N of a
+    vector-only one) make one cell.
+    """
     cells = []
     for identity_id in sorted(job.identities, key=IDENTITY_IDS.index):
-        arity = CATALOG[identity_id].arity
-        if arity == SCALAR_N:
-            n_list = [None]
-        else:
-            n_list = list(job.n_values)
-        for n in n_list:
-            if arity == VECTOR_ONLY:
-                N_list = [None]
-            else:
-                N_list = list(job.N_values)
-            for N in N_list:
-                box = spread_box(n, N) if arity == VECTOR_BOX else None
-                for p_index, p in enumerate(job.config.p_values):
-                    cells.append((identity_id, n, N, box, p_index, complex(p)))
+        shape_of = CATALOG[identity_id].shape
+        for shape in dict.fromkeys(shape_of(n, N) for n in job.n_values for N in job.N_values):
+            for p_index, p in enumerate(job.config.p_values):
+                cells.append((identity_id, shape, p_index, complex(p)))
     return cells
 
 
 def _run_cell(job: VerificationJob, cell) -> list[TrialResult]:
-    identity_id, n, N, box, _p_index, p = cell
+    identity_id, (n, N, box), _p_index, p = cell
     results = []
     for trial_index in range(job.trials):
         try:
             instance, lhs, rhs, condition, rejections = _sample_with_values(
-                identity_id, n=n, N=N if box is None else None, box=box,
+                identity_id, n=n, N=N, box=box,
                 config=job.config, trial_index=trial_index, p=p)
         except ResampleExhaustedError as exc:
             results.append(TrialResult(
@@ -169,17 +153,24 @@ def _cell_worker(payload):
     return results, time.perf_counter() - t0
 
 
-def default_jobs() -> int:
+def worker_count(jobs: int | None = None) -> int:
+    """jobs, or the ELLSUM_JOBS environment variable (default 1) when jobs
+    is None; ValueError unless it is an integer >= 1."""
+    value = os.environ.get(JOBS_ENV_VAR, "1") if jobs is None else jobs
     try:
-        return max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
+        degree = int(value)
     except ValueError:
-        return 1
+        degree = 0
+    if degree < 1:
+        where = JOBS_ENV_VAR if jobs is None else "jobs"
+        raise ValueError(f"{where} must be an integer >= 1, got {value!r}")
+    return degree
 
 
 def run_job(job: VerificationJob, *, jobs: int | None = None) -> VerificationReport:
     """Execute every cell of the job; deterministic given the job."""
     cells = _cells_of(job)
-    degree = default_jobs() if jobs is None else max(1, jobs)
+    degree = worker_count(jobs)
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     if degree > 1 and len(cells) > 1:
@@ -194,7 +185,7 @@ def run_job(job: VerificationJob, *, jobs: int | None = None) -> VerificationRep
     trials: list[TrialResult] = []
     cell_summaries: list[dict] = []
     for cell, results in zip(cells, per_cell):
-        identity_id, n, N, box, _p_index, p = cell
+        identity_id, (n, N, box), _p_index, p = cell
         trials.extend(results)
         errors = sorted(r.relative_error for r in results if r.status != "resample-exhausted")
         rejections = {reason: 0 for reason in REJECTION_REASONS}
@@ -355,11 +346,8 @@ def run_bench(identity_id: str, *, n: int | None, N_values, config: SampleConfig
     """
     rows = []
     for N in N_values:
-        entry = CATALOG[identity_id]
-        box = spread_box(n, N) if entry.arity == VECTOR_BOX else None
-        instance = sample_instance(
-            identity_id, n=n, N=N if box is None else None, box=box,
-            config=config, trial_index=0, p=p)
+        instance = sample_instance(identity_id, n=n, N=N, config=config,
+                                   trial_index=0, p=p)
         terms = count_terms(instance)
         reps = 0
         t0 = time.perf_counter()

@@ -132,3 +132,24 @@ def test_scalar_identity_has_no_vector_attributes():
         inst.Z
     with pytest.raises(AttributeError):
         inst.lam
+
+
+def test_shape_resolves_each_arity():
+    def shape(identity_id, *request):
+        return tuple(CATALOG[identity_id].shape(*request))
+    assert shape("frenkel-turaev", 3, 2) == (None, 2, None)  # n ignored
+    assert shape("theta-lemma", 3, 2) == (3, None, None)  # N ignored
+    assert shape("gr-sum", 3, 2, (1, 1)) == (3, 2, None)  # box ignored
+    assert shape("rs-jackson", 3, 4) == (3, None, (2, 1, 1))  # N spread over the box
+    given = CATALOG["rs-jackson"].shape(None, 7, (1, 0))  # a given box wins over N
+    assert tuple(given) == (2, None, (1, 0))
+    assert (given.level, given.level_code) == (1, (2, 1))
+    assert CATALOG["gr-sum"].shape(2, 3).level_code == (4,)
+    assert CATALOG["theta-lemma"].shape(2).level_code == ()
+    bad = [("gr-sum", 0, 2), ("gr-sum", 2, -1), ("gr-sum", None, 2), ("gr-sum", 2),
+           ("frenkel-turaev", 1), ("rs-jackson", 2, None, (1, -1)),
+           ("rs-jackson", 3, None, (1, 2)), ("rs-jackson", None, None, ()),
+           ("rs-jackson", 0, 2)]
+    for identity_id, *request in bad:
+        with pytest.raises(BalancingError):
+            CATALOG[identity_id].shape(*request)

@@ -25,7 +25,7 @@ from ellsum import (
     solve_balancing,
     theta,
 )
-from ellsum.catalog import SCALAR_N, VECTOR_BOX, VECTOR_ONLY
+from ellsum.catalog import SCALAR_N, VECTOR_BOX, VECTOR_ONLY, spread_box
 from ellsum.evaluate import (
     DOMAINS,
     SIDES,
@@ -36,16 +36,12 @@ from ellsum.evaluate import (
     _symbol_names,
     _symbol_values,
 )
-from ellsum.verify import spread_box
 
 CONFIG = SampleConfig(seed=123)
 
 
 def _grid_instance(identity_id, n, N, trial=0, p=0.2):
-    arity = CATALOG[identity_id].arity
-    box = spread_box(n, N) if arity == VECTOR_BOX else None
-    return sample_instance(identity_id, n=n, N=N if box is None else None,
-                           box=box, config=CONFIG, trial_index=trial, p=p)
+    return sample_instance(identity_id, n=n, N=N, config=CONFIG, trial_index=trial, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ def _reference_side(side, inst) -> tuple[complex, float]:
     bookkeeping."""
     nome = inst.nome
     n = len(inst.z) if inst.z is not None else 1
-    symbols = {name: k for k, name in enumerate(_symbol_names(inst.entry, n))}
+    symbols = {name: k for k, name in enumerate(_symbol_names(inst))}
     values = _symbol_values(inst)
     texts = (*side.common, *(side.odd if n % 2 else side.even))
     terms = []

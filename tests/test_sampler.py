@@ -7,6 +7,7 @@ import math
 import pytest
 
 from ellsum import (
+    BalancingError,
     ResampleExhaustedError,
     SampleConfig,
     VerificationJob,
@@ -14,6 +15,7 @@ from ellsum import (
     run_job,
     sample_instance,
 )
+from ellsum import sampler
 
 
 def test_sampling_is_deterministic():
@@ -112,3 +114,14 @@ def test_seed_change_does_not_change_verdict():
                               n_values=(1, 2), N_values=(0, 1, 2), trials=5,
                               config=SampleConfig(seed=seed))
         assert run_job(job).verdict == "pass"
+
+
+@pytest.mark.parametrize("n, N", [(0, 2), (2, -1), (None, 2), (2, None)])
+def test_bad_shape_fails_before_any_draw(n, N, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew for a bad shape")
+    monkeypatch.setattr(sampler, "_draw", no_draw)
+    with pytest.raises(BalancingError):
+        sample_instance("gr-sum", n=n, N=N, config=SampleConfig(), trial_index=0, p=0.2)
+    with pytest.raises(BalancingError):
+        rejection_report("gr-sum", n=n, N=N, config=SampleConfig(), count=3, p=0.2)

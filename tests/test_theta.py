@@ -17,10 +17,8 @@ from ellsum import (
     TruncationPolicy,
     elliptic_pochhammer,
     ipow,
-    pochhammer_product,
     relative_error,
     theta,
-    theta_product,
 )
 
 
@@ -135,16 +133,6 @@ def test_theta_batch_zero_argument_rejected():
         theta(np.array([0.5, 0.0]), nome(0.2))
 
 
-def test_theta_product_empty_and_singleton():
-    n = nome(0.2)
-    assert theta_product([], n) == 1.0
-    assert theta_product([1.3], n) == theta(1.3, n)
-
-
-def test_theta_product_trigonometric_square():
-    assert theta_product([0.5, 0.5], nome(0.0)) == pytest.approx(0.25)
-
-
 # ---------------------------------------------------------------------------
 # elliptic shifted factorial
 # ---------------------------------------------------------------------------
@@ -180,15 +168,6 @@ def test_pochhammer_pole_reports_factor_index():
         elliptic_pochhammer(0.6, -1, n)
     assert excinfo.value.factor_index == -1
     assert excinfo.value.shift == -1
-
-
-def test_pochhammer_product_empty_singleton_pair():
-    n = nome(0.1, 0.7)
-    assert pochhammer_product([], 5, n) == 1.0
-    assert pochhammer_product([0.4], 3, n) == elliptic_pochhammer(0.4, 3, n)
-    pair = pochhammer_product([0.4, 1.2], 2, n)
-    oracle = elliptic_pochhammer(0.4, 2, n) * elliptic_pochhammer(1.2, 2, n)
-    assert pair == pytest.approx(oracle, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from ellsum import (
     run_job,
 )
 from ellsum.cli import main as cli_main
-from ellsum.verify import spread_box
+from ellsum.catalog import spread_box
 
 
 def small_job(**kwargs):
@@ -239,3 +239,44 @@ def test_cli_bench_runs(capsys):
 
 def test_cli_version(capsys):
     assert cli_main(["--version"]) == 0
+
+
+def _config_report(tmp_path, text):
+    config, out = tmp_path / "job.cfg", tmp_path / "report.json"
+    config.write_text("identities = gr-sum\ntrials = 1\np = 0\n" + text)
+    assert cli_main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    return json.loads(out.read_text())["job"]
+
+
+def test_cli_config_keys_are_case_sensitive(tmp_path):
+    job = _config_report(tmp_path, "n = 1\nN = 0\n")
+    assert (job["n_values"], job["N_values"]) == ([1], [0])
+    job = _config_report(tmp_path, "n = 1,2\nN = 1\n")
+    assert (job["n_values"], job["N_values"]) == ([1, 2], [1])
+
+
+def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "job.cfg"
+    config.write_text("identities = gr-sum\ntolerence = 0\n")
+    assert cli_main(["verify", "--config", str(config)]) == 2
+    assert "tolerence" in capsys.readouterr().err
+
+
+def test_cli_bad_worker_count_exits_2(monkeypatch, capsys):
+    args = ["verify", "--identity", "theta-lemma", "--n", "1", "--trials", "1"]
+    assert cli_main([*args, "--jobs", "0"]) == 2
+    monkeypatch.setenv("ELLSUM_JOBS", "abc")
+    assert cli_main(args) == 2
+    assert "ELLSUM_JOBS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_selftest_rejects_empty_suites(samples, capsys):
+    assert cli_main(["selftest", "--theta-samples", samples]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--N", "-1"], ["--p", "1.5"],
+                                   ["--identity", "gr-summ"]])
+def test_cli_bench_bad_input_exits_2(flags, capsys):
+    assert cli_main(["bench", "--N", "1", *flags]) == 2
