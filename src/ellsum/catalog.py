@@ -7,11 +7,16 @@ constraint(s) as monomial equations
 
     prod_k param_k^{e_k} * q^(alpha*N + beta) * Z^w = 1,      Z = z_1...z_n.
 
-Exactly one parameter per constraint is dependent and is solved in closed
-form by solve_balancing; by convention it is the last-listed parameter that
-the constraint touches (b4, e, g, h).  Instances recompute every derived
-quantity (Z, the Bailey-shift lambda, constraint residuals) from their
-stored parameters rather than trusting caller input.
+Exactly one parameter per constraint is dependent: the one the constraint
+names (b4, e, g, h; general-jackson's f g h Z^2 = t solves h, not the
+later-listed t).  It enters with exponent 1 or -1 and solve_balancing
+solves it in closed form.  Instances recompute every derived quantity (Z,
+the Bailey-shift lambda, constraint residuals) from their stored
+parameters rather than trusting caller input.
+
+An entry also holds its two sides, each a summation domain and a list of
+factor strings (see evaluate for the language), so one _register call shows
+the constraint next to both sides.  catalog_entry is the one lookup of an id.
 
 The arity decides the index shape an instance carries, and only
 CatalogEntry.shape decides it: it maps a request (n, N, box) to the Shape
@@ -20,26 +25,8 @@ grid N over the box of the box-arity identity.  The sampler and the verifier
 resolve every request through it; solve_balancing accepts only a request
 that is already a shape.
 
-Identity ids (the closed enumeration used by the CLI and the verifier):
-
-    frenkel-turaev    one-variable Jackson summation, a^2 q^(N+1) = bcde
-    elliptic-bailey   one-variable Bailey transformation, a^3 q^(N+2) = bcdefg
-    rs-jackson        box-limit multivariable Jackson summation (inverted
-                      A-type), a^2 q^(|N|+1) = bcde
-    theta-lemma       n-point theta identity, b1 b2 b3 b4 Z^2 = 1
-    gr-sum            Gustafson-Rakha-type summation over |x| = N,
-                      q^(N-1) b1 b2 b3 b4 Z^2 = 1
-    gr-corollary      its |x| <= N companion, a^2 q^(N+1) = b1 b2 b3 b4 Z^2
-    bt-transform      multivariable Bailey transformation with
-                      lambda = a^2 q / bcd, a^3 q^(N+2) = bcdefg Z^2
-    bc-transform      companion Bailey transformation with
-                      lambda = a^2 q / bde, same constraint
-    njc-jackson       inverted multivariable Jackson summation,
-                      a^2 q^(N+1) = bcde Z^2
-    jts-jackson       Jackson summation with free spectator t,
-                      a^2 q^(N+1) = bcde Z^2
-    general-jackson   two-constraint form: a^2 q^(N+1) = bcde and
-                      f g h Z^2 = t
+The _register calls below are the closed enumeration of identity ids, in
+the order the CLI lists them (`ellsum list` prints each constraint).
 """
 
 from __future__ import annotations
@@ -80,23 +67,17 @@ class Constraint:
             value *= ipow(params[name], exponent)
         return value
 
-    def solve(self, params: Mapping[str, complex], q: complex,
-              n_level: int, Z: complex) -> complex:
-        """Closed-form value of the dependent parameter."""
-        rest = ipow(q, self.q_n_coeff * n_level + self.q_const)
-        if self.z_power:
-            rest *= ipow(Z, self.z_power)
-        dep_exponent = None
-        for name, exponent in self.exponents:
-            if name == self.dependent:
-                dep_exponent = exponent
-                continue
-            rest *= ipow(params[name], exponent)
-        if dep_exponent == 1:
-            return 1.0 / rest
-        if dep_exponent == -1:
-            return rest
-        raise AssertionError(f"unsupported dependent exponent {dep_exponent}")
+
+@dataclass(frozen=True)
+class Side:
+    """One side of an identity: a summation domain (a key of
+    evaluate.DOMAINS) and its factor strings, common to every n or only for
+    odd or even n.  evaluate reads the factor-string language."""
+
+    domain: str
+    common: tuple[str, ...]
+    odd: tuple[str, ...] = ()
+    even: tuple[str, ...] = ()
 
 
 def spread_box(n: int, total: int) -> tuple[int, ...]:
@@ -138,6 +119,7 @@ class CatalogEntry:
     params: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     constraint_text: str
+    sides: tuple[Side, Side]  # (left, right)
     lambda_rule: str | None = None  # "bcd" or "bde": lambda = a^2 q / (...)
 
     @property
@@ -183,6 +165,20 @@ def _exps(encoded: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+# Blocks several sides share: the A-type theta-Vandermonde ratio
+# prod_{i<j} q^{x_i} theta(q^{x_j-x_i} z_j/z_i) / theta(z_j/z_i), the pair and
+# cross factors, and the well-poised parts in a, a z_i and lam.
+_DELTA = ("theta(z_j / z_i; x_j-x_i) for i<j", "1/theta(z_j / z_i) for i<j", "(q)^x_i for i<j")
+_PAIR = ("(z_i z_j)_x_i+x_j for i<j",)
+_CROSS = ("1/(q z_i / z_j)_x_i for i,j",)
+_WELL_POISED = ("theta(a; 2|x|)", "1/theta(a)", "(q)^|x|")
+_A_Z = ("theta(a z_i; |x|+x_i) for i", "1/theta(a z_i) for i", "(a z_i)_|x| for i",
+        "1/(a q / z_i)_|x|-x_i for i", "(q)^|x|")
+_LAM = ("theta(lam; 2|x|)", "1/theta(lam)", "(lam b / a z_i)_|x| for i",
+        "1/(lam b / a z_i)_|x|-x_i for i", "(q)^|x|")
+_JACKSON_RHS = ("(a q, a q / b c, a q / b d, a q / c d)_N",
+                "1/(a q / b, a q / c, a q / d, a q / b c d)_N")
+
 CATALOG: dict[str, CatalogEntry] = {}
 
 
@@ -197,6 +193,10 @@ _register(CatalogEntry(
     params=("a", "b", "c", "d", "e"),
     constraints=(Constraint(_exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),),
     constraint_text="a^2 q^(N+1) = b c d e",
+    sides=(
+        Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, q^(-N))_|x|",
+                              "1/(q, a q / b, a q / c, a q / d, a q / e, a q^(N+1))_|x|")),
+        Side("x=()", _JACKSON_RHS)),
 ))
 
 _register(CatalogEntry(
@@ -208,6 +208,17 @@ _register(CatalogEntry(
         _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, 0, "g"),),
     constraint_text="a^3 q^(N+2) = b c d e f g",
     lambda_rule="bcd",
+    sides=(
+        Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, f, g, q^(-N))_|x|",
+                              "1/(q, a q / b, a q / c, a q / d, a q / e, a q / f, a q / g,"
+                              " a q^(N+1))_|x|")),
+        Side("0<=x<=N", (
+            "(a q, a q / e f, lam q / e, lam q / f)_N",
+            "1/(lam q, lam q / e f, a q / e, a q / f)_N",
+            "theta(lam; 2|x|)", "1/theta(lam)", "(q)^|x|",
+            "(lam, lam b / a, lam c / a, lam d / a, e, f, g, q^(-N))_|x|",
+            "1/(q, a q / b, a q / c, a q / d, lam q / e, lam q / f, lam q / g,"
+            " lam q^(N+1))_|x|"))),
 ))
 
 _register(CatalogEntry(
@@ -217,6 +228,17 @@ _register(CatalogEntry(
     params=("a", "b", "c", "d", "e"),
     constraints=(Constraint(_exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),),
     constraint_text="a^2 q^(|N|+1) = b c d e",
+    sides=(
+        Side("x<=N_i", (
+            *_DELTA, *_WELL_POISED, "(a, b, c)_|x|", "(d / z_i)_|x| for i",
+            "1/(a q / b, a q / c, a q^(N+1))_|x|", "1/(a q^(N+1-N_i) / e z_i)_|x| for i",
+            "(a q^(N+1) / e z_i)_|x|-x_i for i", "(e z_i)_x_i for i",
+            "(q^(-N_j) z_i / z_j)_x_i for i,j", "1/(d / z_i)_|x|-x_i for i",
+            "1/(a q z_i / d)_x_i for i", *_CROSS)),
+        Side("x=()", (
+            "(a q, a q / b c)_N", "1/(a q / b, a q / c)_N",
+            "(a q z_i / b d, a q z_i / c d)_N_i for i",
+            "1/(a q z_i / d, a q z_i / b c d)_N_i for i"))),
 ))
 
 _register(CatalogEntry(
@@ -226,6 +248,13 @@ _register(CatalogEntry(
     params=("b1", "b2", "b3", "b4"),
     constraints=(Constraint(_exps("b1:1 b2:1 b3:1 b4:1"), 0, 0, 2, "b4"),),
     constraint_text="b1 b2 b3 b4 Z^2 = 1",
+    sides=(
+        # x is a unit vector e_k, so (B)_x_i is theta(B) at i = k and 1 elsewhere.
+        Side("|x|=1", ("(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
+                            "(z_i z_j)_x_i for i!=j", "1/(z_i / z_j)_x_i for i!=j")),
+        Side("x=()", (),
+             odd=("theta(Z b1, Z b2, Z b3, Z b4)", "(Z)^-1"),
+             even=("theta(Z, Z b1 b2, Z b1 b3, Z b1 b4)", "(Z b1)^-1"))),
 ))
 
 _register(CatalogEntry(
@@ -235,6 +264,13 @@ _register(CatalogEntry(
     params=("b1", "b2", "b3", "b4"),
     constraints=(Constraint(_exps("b1:1 b2:1 b3:1 b4:1"), 1, -1, 2, "b4"),),
     constraint_text="q^(N-1) b1 b2 b3 b4 Z^2 = 1",
+    sides=(
+        Side("|x|=N", (*_DELTA, "(q)^x_i*x_j for i<j", *_PAIR,
+                             "(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
+                             *_CROSS)),
+        Side("x=()", ("1/(q)_N",),
+             odd=("(Z b1, Z b2, Z b3, Z b4)_N", "(Z)^-N"),
+             even=("(Z, Z b1 b2, Z b1 b3, Z b1 b4)_N", "(Z b1)^-N"))),
 ))
 
 _register(CatalogEntry(
@@ -245,6 +281,17 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:2 b1:-1 b2:-1 b3:-1 b4:-1"), 1, 1, -2, "b4"),),
     constraint_text="a^2 q^(N+1) = b1 b2 b3 b4 Z^2",
+    sides=(
+        Side("|x|<=N", (
+            *_DELTA, *_A_Z, *_PAIR, "(q^(-N))_|x|",
+            "1/(a q / b1, a q / b2, a q / b3, a q / b4)_|x|",
+            "(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "1/(a q^(N+1) z_i)_x_i for i",
+            *_CROSS)),
+        Side("x=()", (
+            "(a q z_i)_N for i", "1/(a q / b1, a q / b2, a q / b3, a q / b1 b2 b3 Z^2)_N",
+            "1/(a q / z_i)_N for i"),
+            odd=("(a q / Z, a q / b1 b2 Z, a q / b1 b3 Z, a q / b2 b3 Z)_N",),
+            even=("(a q / b1 Z, a q / b2 Z, a q / b3 Z, a q / b1 b2 b3 Z)_N",))),
 ))
 
 _register(CatalogEntry(
@@ -256,6 +303,23 @@ _register(CatalogEntry(
         _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g"),),
     constraint_text="a^3 q^(N+2) = b c d e f g Z^2",
     lambda_rule="bcd",
+    sides=(
+        Side("|x|<=N", (
+            *_DELTA, *_A_Z, *_PAIR, "(q^(-N), b)_|x|",
+            "1/(a q / c, a q / d, a q / e, a q / f, a q / g)_|x|",
+            "(c z_i, d z_i, e z_i, f z_i, g z_i)_x_i for i",
+            "1/(a q^(N+1) z_i, a q z_i / b)_x_i for i", *_CROSS)),
+        Side("|x|<=N", (
+            "(Z)^N", "(a q z_i)_N for i", "1/(lam q, a q / e, a q / f, a q / g)_N",
+            "1/(a q / z_i)_N for i",
+            *_DELTA, *_LAM, *_PAIR, "(lam, q^(-N), lam c / a, lam d / a)_|x|",
+            "1/(lam q^(N+1), a q / c, a q / d)_|x|",
+            "(e z_i, f z_i, g z_i, q^(-N) z_i / a)_x_i for i", "1/(a q z_i / b)_x_i for i",
+            *_CROSS),
+            odd=("(a / lam)^N", "(a q / Z, lam q / e Z, lam q / f Z, lam q / g Z)_N",
+                 "1/(q^(-N) Z / a, lam q / e Z, lam q / f Z, lam q / g Z)_|x|"),
+            even=("(lam q / Z, a q / e Z, a q / f Z, a q / g Z)_N",
+                  "1/(lam q / Z, lam q / e f Z, lam q / e g Z, lam q / f g Z)_|x|"))),
 ))
 
 _register(CatalogEntry(
@@ -267,6 +331,25 @@ _register(CatalogEntry(
         _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g"),),
     constraint_text="a^3 q^(N+2) = b c d e f g Z^2",
     lambda_rule="bde",
+    sides=(
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "1/(b / z_i)_|x|-x_i for i",
+            "(a, q^(-N), c, d)_|x|", "(b / z_i)_|x| for i",
+            "1/(a q^(N+1), a q / c, a q / d)_|x|",
+            "(e z_i, f z_i, g z_i, a q z_i / e f g Z^2)_x_i for i",
+            "1/(a q z_i / b)_x_i for i", *_CROSS),
+            odd=("1/(a q / e Z, a q / f Z, a q / g Z, a q / e f g Z)_|x|",),
+            even=("1/(a q / Z, a q / e f Z, a q / e g Z, a q / f g Z)_|x|",)),
+        Side("|x|<=N", (
+            "(a q, lam q / c)_N", "1/(lam q, a q / c)_N",
+            *_DELTA, *_LAM, *_PAIR, "(lam, q^(-N), c, lam d / a)_|x|",
+            "1/(lam q^(N+1), lam q / c, a q / d)_|x|",
+            "(lam e z_i / a, f z_i, g z_i, a q z_i / e f g Z^2)_x_i for i",
+            "1/(a q z_i / b)_x_i for i", *_CROSS),
+            odd=("(a q / c f Z, lam q / f Z)_N", "1/(a q / f Z, lam q / c f Z)_N",
+                 "1/(a q / e Z, lam q / f Z, lam q / g Z, a q / e f g Z)_|x|"),
+            even=("(a q / c Z, lam q / Z)_N", "1/(a q / Z, lam q / c Z)_N",
+                  "1/(lam q / Z, a q / e f Z, a q / e g Z, lam q / f g Z)_|x|"))),
 ))
 
 _register(CatalogEntry(
@@ -277,6 +360,19 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e"),),
     constraint_text="a^2 q^(N+1) = b c d e Z^2",
+    sides=(
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "1/(e / z_i)_|x|-x_i for i", "(a, q^(-N))_|x|",
+            "(e / z_i)_|x| for i", "1/(a q^(N+1))_|x|",
+            "(b z_i, c z_i, d z_i, q^(-N) e z_i / a)_x_i for i",
+            "1/(a q z_i / e)_x_i for i", *_CROSS),
+            odd=("1/(q^(-N) e Z / a, a q / b Z, a q / c Z, a q / d Z)_|x|",),
+            even=("1/(a q / Z, a q / b c Z, a q / b d Z, a q / c d Z)_|x|",)),
+        Side("x=()", (
+            "(a q, a q / b e, a q / c e, a q / d e)_N", "(a q / e z_i)_N for i", "(Z)^-N",
+            "1/(a q z_i / e)_N for i"),
+            odd=("(e)^N", "1/(a q / b Z, a q / c Z, a q / d Z, a q / e Z)_N"),
+            even=("1/(a q / Z, a q / b e Z, a q / c e Z, a q / d e Z)_N",))),
 ))
 
 _register(CatalogEntry(
@@ -287,6 +383,17 @@ _register(CatalogEntry(
     constraints=(Constraint(
         _exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e"),),
     constraint_text="a^2 q^(N+1) = b c d e Z^2  (t arbitrary)",
+    sides=(
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "1/(t / z_i)_|x|-x_i for i",
+            "(a, q^(-N), b, c)_|x|", "(t / z_i)_|x| for i",
+            "1/(a q^(N+1), a q / b, a q / c)_|x|",
+            "(d z_i, e z_i, t z_i / d e Z^2)_x_i for i", *_CROSS),
+            odd=("1/(a q / d Z, a q / e Z, t / Z, t / d e Z)_|x|",),
+            even=("1/(a q / Z, a q / d e Z, t / d Z, t / e Z)_|x|",)),
+        Side("x=()", ("(a q, a q / b c)_N", "1/(a q / b, a q / c)_N"),
+             odd=("(a q / b d Z, a q / c d Z)_N", "1/(a q / d Z, a q / b c d Z)_N"),
+             even=("(a q / b Z, a q / c Z)_N", "1/(a q / Z, a q / b c Z)_N"))),
 ))
 
 _register(CatalogEntry(
@@ -299,10 +406,27 @@ _register(CatalogEntry(
         Constraint(_exps("f:1 g:1 h:1 t:-1"), 0, 0, 2, "h"),
     ),
     constraint_text="a^2 q^(N+1) = b c d e  and  f g h Z^2 = t",
+    sides=(
+        Side("|x|<=N", (
+            *_DELTA, *_WELL_POISED, *_PAIR, "(a, q^(-N), b, c, d, e)_|x|",
+            "1/(a q^(N+1), a q / b, a q / c, a q / d, a q / e)_|x|",
+            "(t / z_i)_|x| for i", "(f z_i, g z_i, h z_i)_x_i for i",
+            "1/(t / z_i)_|x|-x_i for i", *_CROSS),
+            odd=("1/(f Z, g Z, h Z, t / Z)_|x|",),
+            even=("1/(Z, f g Z, f h Z, g h Z)_|x|",)),
+        Side("x=()", _JACKSON_RHS)),
 ))
 
 #: Stable ordering of identity ids (also the CLI listing order).
 IDENTITY_IDS: tuple[str, ...] = tuple(CATALOG)
+
+
+def catalog_entry(identity_id: str) -> CatalogEntry:
+    """The entry of an identity id; BalancingError for an unknown id."""
+    try:
+        return CATALOG[identity_id]
+    except KeyError:
+        raise BalancingError(f"unknown identity id {identity_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -385,10 +509,7 @@ def solve_balancing(identity_id: str, partial: Mapping[str, complex], *,
     dependent one.  The returned instance satisfies every constraint to
     CONSTRAINT_RESIDUAL_TOL relative.
     """
-    if identity_id not in CATALOG:
-        raise BalancingError(f"unknown identity id {identity_id!r}")
-    entry = CATALOG[identity_id]
-
+    entry = catalog_entry(identity_id)
     free = set(entry.free_params)
     given = set(partial)
     if given - free:
@@ -416,7 +537,11 @@ def solve_balancing(identity_id: str, partial: Mapping[str, complex], *,
                                 z=z, N=shape.N, box=shape.box)
     Z = instance.Z if z is not None else complex(1.0)
     for constraint in entry.constraints:
-        value = constraint.solve(params, nome.q, shape.level, Z)
+        # the monomial with the dependent set to 1 is its inverse when it enters
+        # with exponent 1, itself when -1; the residual check catches the rest
+        rest = constraint.monomial({**params, constraint.dependent: 1.0}, nome.q,
+                                   shape.level, Z)
+        value = 1.0 / rest if dict(constraint.exponents)[constraint.dependent] == 1 else rest
         if value == 0:
             raise BalancingError(
                 f"{identity_id}: constraint forces {constraint.dependent} = 0")

@@ -34,7 +34,8 @@ of `identities`:
     format = json               # or table
 
 Command-line flags override config-file values.  An unknown key, a bad
-value and an ELLSUM_JOBS that is not an integer >= 1 exit 2.
+value (NaN included), an ELLSUM_JOBS that is not an integer >= 1 and a p
+too close to 1 for theta's truncation budget exit 2.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import sys
 
 from ._version import __version__
 from .catalog import CATALOG, IDENTITY_IDS
-from .errors import BalancingError, EllipticError
+from .errors import BalancingError, EllipticError, TruncationBudgetError
 from .sampler import SampleConfig
 from .selfcheck import run_all
 from .verify import (
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TruncationBudgetError) as exc:  # |p| too close to 1
         print(f"ellsum: {exc}", file=sys.stderr)
         return 2
     except EllipticError as exc:

@@ -1,8 +1,9 @@
 """Left- and right-hand-side evaluators for every identity in the catalog.
 
-Each side of each identity is data: a Side names its summation domain and
-lists its factors as display-form strings, with parity branches where the
-closed form depends on n mod 2.  A factor string reads
+Each side of each identity is data, held by its catalog entry: a Side names
+its summation domain and lists its factors as display-form strings, with
+parity branches where the closed form depends on n mod 2.  A factor string
+reads
 
     [1/]theta(B1, B2; S)    theta(B q^S) for each base B (S = 0 if omitted)
     [1/](B1, B2)_S          the shifted factorial (B)_S with step q
@@ -43,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import IdentityInstance
+from .catalog import IdentityInstance, Side
 from .errors import NonFiniteError, PoleError
 from .kernels import box_indices, compositions_bounded, compositions_exact
 from .theta import EllipticNome, theta
@@ -73,7 +74,7 @@ def relative_error(lhs: complex, rhs: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Identities as factor specs
+# Summation domains
 # ---------------------------------------------------------------------------
 
 
@@ -86,154 +87,6 @@ DOMAINS: dict[str, Callable] = {
     "|x|=1": lambda inst: compositions_exact(1, len(inst.z)),
     "x<=N_i": lambda inst: box_indices(inst.box),
     "x=()": lambda inst: ((),),
-}
-
-
-@dataclass(frozen=True)
-class Side:
-    """One side of an identity: a DOMAINS key and its factor strings."""
-
-    domain: str
-    common: tuple[str, ...]
-    odd: tuple[str, ...] = ()
-    even: tuple[str, ...] = ()
-
-
-# Blocks several sides share: the A-type theta-Vandermonde ratio
-# prod_{i<j} q^{x_i} theta(q^{x_j-x_i} z_j/z_i) / theta(z_j/z_i), the pair and
-# cross factors, and the well-poised parts in a, a z_i and lam.
-_DELTA = ("theta(z_j / z_i; x_j-x_i) for i<j", "1/theta(z_j / z_i) for i<j", "(q)^x_i for i<j")
-_PAIR = ("(z_i z_j)_x_i+x_j for i<j",)
-_CROSS = ("1/(q z_i / z_j)_x_i for i,j",)
-_WELL_POISED = ("theta(a; 2|x|)", "1/theta(a)", "(q)^|x|")
-_A_Z = ("theta(a z_i; |x|+x_i) for i", "1/theta(a z_i) for i", "(a z_i)_|x| for i",
-        "1/(a q / z_i)_|x|-x_i for i", "(q)^|x|")
-_LAM = ("theta(lam; 2|x|)", "1/theta(lam)", "(lam b / a z_i)_|x| for i",
-        "1/(lam b / a z_i)_|x|-x_i for i", "(q)^|x|")
-_JACKSON_RHS = ("(a q, a q / b c, a q / b d, a q / c d)_N",
-                "1/(a q / b, a q / c, a q / d, a q / b c d)_N")
-
-SIDES: dict[str, tuple[Side, Side]] = {
-    "frenkel-turaev": (
-        Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, q^(-N))_|x|",
-                              "1/(q, a q / b, a q / c, a q / d, a q / e, a q^(N+1))_|x|")),
-        Side("x=()", _JACKSON_RHS)),
-    "elliptic-bailey": (
-        Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, f, g, q^(-N))_|x|",
-                              "1/(q, a q / b, a q / c, a q / d, a q / e, a q / f, a q / g,"
-                              " a q^(N+1))_|x|")),
-        Side("0<=x<=N", (
-            "(a q, a q / e f, lam q / e, lam q / f)_N",
-            "1/(lam q, lam q / e f, a q / e, a q / f)_N",
-            "theta(lam; 2|x|)", "1/theta(lam)", "(q)^|x|",
-            "(lam, lam b / a, lam c / a, lam d / a, e, f, g, q^(-N))_|x|",
-            "1/(q, a q / b, a q / c, a q / d, lam q / e, lam q / f, lam q / g,"
-            " lam q^(N+1))_|x|"))),
-    "rs-jackson": (
-        Side("x<=N_i", (
-            *_DELTA, *_WELL_POISED, "(a, b, c)_|x|", "(d / z_i)_|x| for i",
-            "1/(a q / b, a q / c, a q^(N+1))_|x|", "1/(a q^(N+1-N_i) / e z_i)_|x| for i",
-            "(a q^(N+1) / e z_i)_|x|-x_i for i", "(e z_i)_x_i for i",
-            "(q^(-N_j) z_i / z_j)_x_i for i,j", "1/(d / z_i)_|x|-x_i for i",
-            "1/(a q z_i / d)_x_i for i", *_CROSS)),
-        Side("x=()", (
-            "(a q, a q / b c)_N", "1/(a q / b, a q / c)_N",
-            "(a q z_i / b d, a q z_i / c d)_N_i for i",
-            "1/(a q z_i / d, a q z_i / b c d)_N_i for i"))),
-    "theta-lemma": (
-        # x is a unit vector e_k, so (B)_x_i is theta(B) at i = k and 1 elsewhere.
-        Side("|x|=1", ("(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
-                            "(z_i z_j)_x_i for i!=j", "1/(z_i / z_j)_x_i for i!=j")),
-        Side("x=()", (),
-             odd=("theta(Z b1, Z b2, Z b3, Z b4)", "(Z)^-1"),
-             even=("theta(Z, Z b1 b2, Z b1 b3, Z b1 b4)", "(Z b1)^-1"))),
-    "gr-sum": (
-        Side("|x|=N", (*_DELTA, "(q)^x_i*x_j for i<j", *_PAIR,
-                             "(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
-                             *_CROSS)),
-        Side("x=()", ("1/(q)_N",),
-             odd=("(Z b1, Z b2, Z b3, Z b4)_N", "(Z)^-N"),
-             even=("(Z, Z b1 b2, Z b1 b3, Z b1 b4)_N", "(Z b1)^-N"))),
-    "gr-corollary": (
-        Side("|x|<=N", (
-            *_DELTA, *_A_Z, *_PAIR, "(q^(-N))_|x|",
-            "1/(a q / b1, a q / b2, a q / b3, a q / b4)_|x|",
-            "(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "1/(a q^(N+1) z_i)_x_i for i",
-            *_CROSS)),
-        Side("x=()", (
-            "(a q z_i)_N for i", "1/(a q / b1, a q / b2, a q / b3, a q / b1 b2 b3 Z^2)_N",
-            "1/(a q / z_i)_N for i"),
-            odd=("(a q / Z, a q / b1 b2 Z, a q / b1 b3 Z, a q / b2 b3 Z)_N",),
-            even=("(a q / b1 Z, a q / b2 Z, a q / b3 Z, a q / b1 b2 b3 Z)_N",))),
-    "bt-transform": (
-        Side("|x|<=N", (
-            *_DELTA, *_A_Z, *_PAIR, "(q^(-N), b)_|x|",
-            "1/(a q / c, a q / d, a q / e, a q / f, a q / g)_|x|",
-            "(c z_i, d z_i, e z_i, f z_i, g z_i)_x_i for i",
-            "1/(a q^(N+1) z_i, a q z_i / b)_x_i for i", *_CROSS)),
-        Side("|x|<=N", (
-            "(Z)^N", "(a q z_i)_N for i", "1/(lam q, a q / e, a q / f, a q / g)_N",
-            "1/(a q / z_i)_N for i",
-            *_DELTA, *_LAM, *_PAIR, "(lam, q^(-N), lam c / a, lam d / a)_|x|",
-            "1/(lam q^(N+1), a q / c, a q / d)_|x|",
-            "(e z_i, f z_i, g z_i, q^(-N) z_i / a)_x_i for i", "1/(a q z_i / b)_x_i for i",
-            *_CROSS),
-            odd=("(a / lam)^N", "(a q / Z, lam q / e Z, lam q / f Z, lam q / g Z)_N",
-                 "1/(q^(-N) Z / a, lam q / e Z, lam q / f Z, lam q / g Z)_|x|"),
-            even=("(lam q / Z, a q / e Z, a q / f Z, a q / g Z)_N",
-                  "1/(lam q / Z, lam q / e f Z, lam q / e g Z, lam q / f g Z)_|x|"))),
-    "bc-transform": (
-        Side("|x|<=N", (
-            *_DELTA, *_WELL_POISED, *_PAIR, "1/(b / z_i)_|x|-x_i for i",
-            "(a, q^(-N), c, d)_|x|", "(b / z_i)_|x| for i",
-            "1/(a q^(N+1), a q / c, a q / d)_|x|",
-            "(e z_i, f z_i, g z_i, a q z_i / e f g Z^2)_x_i for i",
-            "1/(a q z_i / b)_x_i for i", *_CROSS),
-            odd=("1/(a q / e Z, a q / f Z, a q / g Z, a q / e f g Z)_|x|",),
-            even=("1/(a q / Z, a q / e f Z, a q / e g Z, a q / f g Z)_|x|",)),
-        Side("|x|<=N", (
-            "(a q, lam q / c)_N", "1/(lam q, a q / c)_N",
-            *_DELTA, *_LAM, *_PAIR, "(lam, q^(-N), c, lam d / a)_|x|",
-            "1/(lam q^(N+1), lam q / c, a q / d)_|x|",
-            "(lam e z_i / a, f z_i, g z_i, a q z_i / e f g Z^2)_x_i for i",
-            "1/(a q z_i / b)_x_i for i", *_CROSS),
-            odd=("(a q / c f Z, lam q / f Z)_N", "1/(a q / f Z, lam q / c f Z)_N",
-                 "1/(a q / e Z, lam q / f Z, lam q / g Z, a q / e f g Z)_|x|"),
-            even=("(a q / c Z, lam q / Z)_N", "1/(a q / Z, lam q / c Z)_N",
-                  "1/(lam q / Z, a q / e f Z, a q / e g Z, lam q / f g Z)_|x|"))),
-    "njc-jackson": (
-        Side("|x|<=N", (
-            *_DELTA, *_WELL_POISED, *_PAIR, "1/(e / z_i)_|x|-x_i for i", "(a, q^(-N))_|x|",
-            "(e / z_i)_|x| for i", "1/(a q^(N+1))_|x|",
-            "(b z_i, c z_i, d z_i, q^(-N) e z_i / a)_x_i for i",
-            "1/(a q z_i / e)_x_i for i", *_CROSS),
-            odd=("1/(q^(-N) e Z / a, a q / b Z, a q / c Z, a q / d Z)_|x|",),
-            even=("1/(a q / Z, a q / b c Z, a q / b d Z, a q / c d Z)_|x|",)),
-        Side("x=()", (
-            "(a q, a q / b e, a q / c e, a q / d e)_N", "(a q / e z_i)_N for i", "(Z)^-N",
-            "1/(a q z_i / e)_N for i"),
-            odd=("(e)^N", "1/(a q / b Z, a q / c Z, a q / d Z, a q / e Z)_N"),
-            even=("1/(a q / Z, a q / b e Z, a q / c e Z, a q / d e Z)_N",))),
-    "jts-jackson": (
-        Side("|x|<=N", (
-            *_DELTA, *_WELL_POISED, *_PAIR, "1/(t / z_i)_|x|-x_i for i",
-            "(a, q^(-N), b, c)_|x|", "(t / z_i)_|x| for i",
-            "1/(a q^(N+1), a q / b, a q / c)_|x|",
-            "(d z_i, e z_i, t z_i / d e Z^2)_x_i for i", *_CROSS),
-            odd=("1/(a q / d Z, a q / e Z, t / Z, t / d e Z)_|x|",),
-            even=("1/(a q / Z, a q / d e Z, t / d Z, t / e Z)_|x|",)),
-        Side("x=()", ("(a q, a q / b c)_N", "1/(a q / b, a q / c)_N"),
-             odd=("(a q / b d Z, a q / c d Z)_N", "1/(a q / d Z, a q / b c d Z)_N"),
-             even=("(a q / b Z, a q / c Z)_N", "1/(a q / Z, a q / b c Z)_N"))),
-    "general-jackson": (
-        Side("|x|<=N", (
-            *_DELTA, *_WELL_POISED, *_PAIR, "(a, q^(-N), b, c, d, e)_|x|",
-            "1/(a q^(N+1), a q / b, a q / c, a q / d, a q / e)_|x|",
-            "(t / z_i)_|x| for i", "(f z_i, g z_i, h z_i)_x_i for i",
-            "1/(t / z_i)_|x|-x_i for i", *_CROSS),
-            odd=("1/(f Z, g Z, h Z, t / Z)_|x|",),
-            even=("1/(Z, f g Z, f h Z, g h Z)_|x|",)),
-        Side("x=()", _JACKSON_RHS)),
 }
 
 
@@ -503,7 +356,7 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
 
 
 def _evaluate(inst: IdentityInstance, which: int, pole_floor: float) -> tuple[complex, float]:
-    side = SIDES[inst.identity_id][which]
+    side = inst.entry.sides[which]
     ctx = EvalContext(inst.nome, pole_floor=pole_floor)
     return _sum_terms(ctx, inst, DOMAINS[side.domain], side)
 
@@ -522,4 +375,4 @@ def evaluate_rhs(inst: IdentityInstance, *, pole_floor: float = 0.0) -> tuple[co
 
 def count_terms(inst: IdentityInstance) -> int:
     """Number of terms in the left-side sum."""
-    return sum(1 for _ in DOMAINS[SIDES[inst.identity_id][0].domain](inst))
+    return sum(1 for _ in DOMAINS[inst.entry.sides[0].domain](inst))

@@ -12,9 +12,9 @@ equivalent form, delta_ratio_alt, rewrites it through shifted factorials:
     (-1)^|x| q^(-binom(|x|,2) - |x|)
         prod_{i,j} (q z_i/z_j)_{x_i} / (q^{-x_j} z_i/z_j)_{x_i}.
 
-The two agree wherever both are pole-free; the library evaluates identities
-with delta_ratio (fewer spurious poles) and keeps the alternate form as a
-cross-check.
+The two agree wherever both are pole-free.  The evaluator calls neither: the
+catalog's factor specs write the ratio out as their _DELTA block.  The two
+forms stay as each other's cross-check in the selftest's ratio suite.
 
 The interpolation identities: a partial-fraction sum
 

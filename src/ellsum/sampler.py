@@ -11,7 +11,10 @@ parameter comes from solve_balancing.  A draw is rejected and retried when
   * the solved dependent parameter has modulus outside [1e-6, 1e6]
     -> reason "magnitude",
   * the cancellation ratio max|term| / |sum| of either side exceeds
-    condition_cap -> reason "condition".
+    condition_cap, or a side overflows -> reason "condition".
+
+Other errors propagate, such as the TruncationBudgetError of a p too close
+to 1: that is a bad configuration, not a bad draw.
 
 Randomness comes from numpy's PCG64 bit generator.  Each trial derives its
 own stream from SeedSequence entropy built out of (seed, catalog index of
@@ -29,8 +32,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .catalog import CATALOG, IDENTITY_IDS, IdentityInstance, Shape, solve_balancing
-from .errors import BalancingError, EllipticError, PoleError, ResampleExhaustedError
+from .catalog import IDENTITY_IDS, IdentityInstance, Shape, catalog_entry, solve_balancing
+from .errors import BalancingError, NonFiniteError, PoleError, ResampleExhaustedError
 from .evaluate import evaluate_lhs, evaluate_rhs
 from .theta import EllipticNome, TruncationPolicy
 
@@ -56,16 +59,21 @@ class SampleConfig:
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
-        if self.modulus_range[0] <= 0 or self.modulus_range[1] < self.modulus_range[0]:
-            raise ValueError(f"bad modulus_range {self.modulus_range}")
-        if self.q_range[0] <= 0 or self.q_range[1] < self.q_range[0]:
-            raise ValueError(f"bad q_range {self.q_range}")
-        if self.pole_floor < 0:
-            raise ValueError("pole_floor must be >= 0")
-        if self.max_resamples < 1:
-            raise ValueError("max_resamples must be >= 1")
+        # each check passes only on a good value, so NaN fails every one
+        for name in ("modulus_range", "q_range"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError(f"{name} needs 0 < lo <= hi, got {(lo, hi)}")
+        for name, rule, ok in (("pole_floor", ">= 0", self.pole_floor >= 0),
+                               ("condition_cap", "> 0", self.condition_cap > 0),
+                               ("max_resamples", ">= 1", self.max_resamples >= 1),
+                               ("min_z_separation", ">= 0", self.min_z_separation >= 0)):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        if not self.p_values:
+            raise ValueError("p_values must not be empty")
         for p in self.p_values:
-            if abs(complex(p)) >= 1:
+            if not abs(complex(p)) < 1:
                 raise ValueError(f"|p| must be < 1, got {p}")
 
 
@@ -140,7 +148,7 @@ def _attempt(identity_id: str, shape: Shape, *, config: SampleConfig, p: complex
              rng: np.random.Generator, pinned: Mapping[str, PinnedValue] | None):
     """One sampling attempt: (REJECTION_REASONS entry, result), where result
     is (instance, lhs, rhs, condition) on a pass and None otherwise."""
-    entry = CATALOG[identity_id]
+    entry = catalog_entry(identity_id)
     lo, hi = config.modulus_range
     q = _draw(rng, *config.q_range)
     nome = EllipticNome(p, q, config.truncation)
@@ -173,7 +181,7 @@ def _attempt(identity_id: str, shape: Shape, *, config: SampleConfig, p: complex
         rhs, rhs_max = evaluate_rhs(instance, pole_floor=config.pole_floor)
     except PoleError:
         return "pole", None
-    except EllipticError:
+    except NonFiniteError:
         return "condition", None
 
     condition = 0.0
@@ -189,19 +197,12 @@ def _attempt(identity_id: str, shape: Shape, *, config: SampleConfig, p: complex
     return "pass", (instance, lhs, rhs, condition)
 
 
-def _shape(identity_id: str, n, N, box) -> Shape:
-    """The requested shape, resolved before any draw."""
-    if identity_id not in CATALOG:
-        raise BalancingError(f"unknown identity id {identity_id!r}")
-    return CATALOG[identity_id].shape(n, N, box)
-
-
 def _sample_with_values(identity_id: str, *, n=None, N=None, box=None,
                         config: SampleConfig, trial_index: int,
                         p: complex | None = None,
                         pinned: Mapping[str, PinnedValue] | None = None):
     """Sampling loop; returns (instance, lhs, rhs, condition, histogram)."""
-    shape = _shape(identity_id, n, N, box)
+    shape = catalog_entry(identity_id).shape(n, N, box)
     p = complex(config.p_values[0] if p is None else p)
     rng = _rng_for(config, identity_id, shape, trial_index, p)
     histogram = dict.fromkeys(REJECTION_REASONS, 0)
@@ -239,7 +240,7 @@ def rejection_report(identity_id: str, *, n=None, N=None, box=None,
                      p: complex | None = None) -> dict[str, int]:
     """Tally pass/pole/separation/magnitude/condition over the first
     attempt of `count` trials."""
-    shape = _shape(identity_id, n, N, box)
+    shape = catalog_entry(identity_id).shape(n, N, box)
     p = complex(config.p_values[0] if p is None else p)
     histogram = dict.fromkeys(REJECTION_REASONS, 0)
     for trial_index in range(count):

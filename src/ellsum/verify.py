@@ -29,8 +29,8 @@ from datetime import datetime, timezone
 from typing import Any
 
 from ._version import __version__
-from .catalog import CATALOG, IDENTITY_IDS, IdentityInstance
-from .errors import BalancingError, ResampleExhaustedError
+from .catalog import IDENTITY_IDS, IdentityInstance, catalog_entry
+from .errors import ResampleExhaustedError
 from .evaluate import count_terms, evaluate_lhs, relative_error
 from .sampler import REJECTION_REASONS, SampleConfig, _sample_with_values, sample_instance
 
@@ -61,20 +61,19 @@ class VerificationJob:
             ids = IDENTITY_IDS
         object.__setattr__(self, "identities", tuple(ids))
         for identity_id in self.identities:
-            if identity_id not in CATALOG:
-                raise BalancingError(f"unknown identity id {identity_id!r}")
+            catalog_entry(identity_id)  # BalancingError for an unknown id
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         object.__setattr__(self, "N_values", tuple(int(v) for v in self.N_values))
         if not self.identities:
             raise ValueError("job needs at least one identity")
-        if any(v < 1 for v in self.n_values):
-            raise ValueError(f"n values must be >= 1, got {self.n_values}")
-        if any(v < 0 for v in self.N_values):
-            raise ValueError(f"N values must be >= 0, got {self.N_values}")
+        if not self.n_values or min(self.n_values) < 1:
+            raise ValueError(f"n values must be >= 1 and not empty, got {self.n_values}")
+        if not self.N_values or min(self.N_values) < 0:
+            raise ValueError(f"N values must be >= 0 and not empty, got {self.N_values}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
+        if not self.tolerance >= 0:  # NaN fails too
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.output_format not in ("json", "table"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -114,7 +113,7 @@ def _cells_of(job: VerificationJob):
     """
     cells = []
     for identity_id in sorted(job.identities, key=IDENTITY_IDS.index):
-        shape_of = CATALOG[identity_id].shape
+        shape_of = catalog_entry(identity_id).shape
         for shape in dict.fromkeys(shape_of(n, N) for n in job.n_values for N in job.N_values):
             for p_index, p in enumerate(job.config.p_values):
                 cells.append((identity_id, shape, p_index, complex(p)))

@@ -58,7 +58,7 @@ def test_benchmark_hooks_are_reached_and_tracing_changes_nothing(spans, monkeypa
             walked.append(True)
             return domain(instance)
         result = sum_terms(ctx, inst, walking, side)
-        if side is evaluate_module.SIDES[inst.identity_id][0]:
+        if side is inst.entry.sides[0]:
             sums["lhs"] += 1
             sums["walked"] += bool(walked)
         return result

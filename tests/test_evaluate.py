@@ -25,10 +25,8 @@ from ellsum import (
     solve_balancing,
     theta,
 )
-from ellsum.catalog import SCALAR_N, VECTOR_BOX, VECTOR_ONLY, spread_box
 from ellsum.evaluate import (
     DOMAINS,
-    SIDES,
     _bindings,
     _form,
     _monomial,
@@ -51,11 +49,10 @@ def _grid_instance(identity_id, n, N, trial=0, p=0.2):
 
 @pytest.mark.parametrize("identity_id", sorted(CATALOG))
 def test_every_identity_is_exactly_one_at_level_zero(identity_id):
-    arity = CATALOG[identity_id].arity
-    if arity == VECTOR_ONLY:
+    shape = CATALOG[identity_id].shape(2, 0)
+    if shape.N is None and shape.box is None:
         pytest.skip("no truncation level")
-    n = None if arity == SCALAR_N else 2
-    inst = _grid_instance(identity_id, n, 0)
+    inst = _grid_instance(identity_id, 2, 0)
     lhs, lhs_max = evaluate_lhs(inst)
     rhs, _ = evaluate_rhs(inst)
     # single all-zero index: every factor is a shift-0 product or a ratio of
@@ -136,20 +133,15 @@ def test_gr_sum_rhs_matches_lhs_small_case():
 
 @pytest.mark.parametrize("identity_id", sorted(CATALOG))
 def test_identity_holds_on_seeded_instances(identity_id):
-    arity = CATALOG[identity_id].arity
-    n_values = [None] if arity == SCALAR_N else [1, 2, 3]
-    N_values = [None] if arity == VECTOR_ONLY else [1, 2]
-    for n in n_values:
-        for N in N_values:
-            for p in (0.0, 0.2):
-                if arity == VECTOR_ONLY:
-                    inst = sample_instance(identity_id, n=n, config=CONFIG,
-                                           trial_index=2, p=p)
-                else:
-                    inst = _grid_instance(identity_id, n, N, trial=2, p=p)
-                lhs, _ = evaluate_lhs(inst)
-                rhs, _ = evaluate_rhs(inst)
-                assert relative_error(lhs, rhs) < 1e-8, (identity_id, n, N, p)
+    # the grid points an arity ignores resolve to one shape, drawn once
+    shape_of = CATALOG[identity_id].shape
+    for n, N, box in dict.fromkeys(shape_of(n, N) for n in (1, 2, 3) for N in (1, 2)):
+        for p in (0.0, 0.2):
+            inst = sample_instance(identity_id, n=n, N=N, box=box, config=CONFIG,
+                                   trial_index=2, p=p)
+            lhs, _ = evaluate_lhs(inst)
+            rhs, _ = evaluate_rhs(inst)
+            assert relative_error(lhs, rhs) < 1e-8, (identity_id, n, N, box, p)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +154,7 @@ def test_identity_holds_on_seeded_instances(identity_id):
 def test_sum_invariant_under_z_permutation(identity_id):
     # permuting z permutes the terms, so compare on well-conditioned draws
     config = SampleConfig(seed=123, condition_cap=1e2)
-    arity = CATALOG[identity_id].arity
-    if arity == VECTOR_ONLY:
-        inst = sample_instance(identity_id, n=3, config=config, trial_index=4, p=0.2)
-    else:
-        inst = sample_instance(identity_id, n=3, N=2, config=config,
-                               trial_index=4, p=0.2)
+    inst = sample_instance(identity_id, n=3, N=2, config=config, trial_index=4, p=0.2)
     lhs, _ = evaluate_lhs(inst)
     for perm in itertools.permutations(range(3)):
         shuffled = solve_balancing(
@@ -263,18 +250,11 @@ def _reference_side(side, inst) -> tuple[complex, float]:
 def test_spec_matches_scalar_reference(identity_id):
     # well-conditioned draws, so plain summation of the reference is good to 1e-12
     config = SampleConfig(seed=11, condition_cap=10.0)
-    arity = CATALOG[identity_id].arity
     for n, N, p in ((1, 2, 0.2), (2, 3, 0.05), (3, 2, 0.2), (4, 1, 0.0)):
-        if arity == SCALAR_N:
-            inst = sample_instance(identity_id, N=N, config=config, trial_index=n, p=p)
-        elif arity == VECTOR_ONLY:
-            inst = sample_instance(identity_id, n=n, config=config, trial_index=0, p=p)
-        elif arity == VECTOR_BOX:
-            inst = sample_instance(identity_id, box=spread_box(n, N), config=config,
-                                   trial_index=0, p=p)
-        else:
-            inst = sample_instance(identity_id, n=n, N=N, config=config, trial_index=0, p=p)
-        for side, evaluate in zip(SIDES[identity_id], (evaluate_lhs, evaluate_rhs)):
+        # a scalar identity drops n, so n picks its trial instead
+        trial = 0 if CATALOG[identity_id].shape(n, N).n else n
+        inst = sample_instance(identity_id, n=n, N=N, config=config, trial_index=trial, p=p)
+        for side, evaluate in zip(inst.entry.sides, (evaluate_lhs, evaluate_rhs)):
             value, largest = evaluate(inst)
             expected, expected_largest = _reference_side(side, inst)
             assert relative_error(value, expected) < 1e-12, (n, N, p)

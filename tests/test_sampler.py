@@ -8,8 +8,10 @@ import pytest
 
 from ellsum import (
     BalancingError,
+    NonFiniteError,
     ResampleExhaustedError,
     SampleConfig,
+    TruncationBudgetError,
     VerificationJob,
     rejection_report,
     run_job,
@@ -125,3 +127,32 @@ def test_bad_shape_fails_before_any_draw(n, N, monkeypatch):
         sample_instance("gr-sum", n=n, N=N, config=SampleConfig(), trial_index=0, p=0.2)
     with pytest.raises(BalancingError):
         rejection_report("gr-sum", n=n, N=N, config=SampleConfig(), count=3, p=0.2)
+
+
+def test_p_near_one_raises_truncation_budget_error():
+    # theta at p = 0.97 needs more than the policy's 1000 factors: a bad
+    # configuration, not a draw to reject as badly conditioned
+    with pytest.raises(TruncationBudgetError, match="more than 1000 factors"):
+        sample_instance("gr-sum", n=2, N=1, config=SampleConfig(), trial_index=0, p=0.97)
+
+
+def test_overflow_is_a_condition_rejection(monkeypatch):
+    def overflowing(*args, **kwargs):
+        raise NonFiniteError("sum overflowed")
+    monkeypatch.setattr(sampler, "evaluate_lhs", overflowing)
+    hist = rejection_report("gr-sum", n=2, N=1, config=SampleConfig(seed=3), count=5, p=0.2)
+    assert hist["condition"] + hist["separation"] + hist["magnitude"] == 5
+    assert hist["condition"] > 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("modulus_range", (math.nan, 1.5)), ("modulus_range", (0.2, math.inf)),
+    ("q_range", (0.2, math.nan)), ("q_range", (0.0, 1.5)),
+    ("pole_floor", math.nan), ("pole_floor", -1e-4),
+    ("condition_cap", math.nan), ("condition_cap", -1.0), ("condition_cap", 0.0),
+    ("min_z_separation", math.nan), ("min_z_separation", -0.05),
+    ("p_values", ()), ("p_values", (complex(math.nan),)),
+])
+def test_config_rejects_bad_numbers(field, value):
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        SampleConfig(**{field: value})

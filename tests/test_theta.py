@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpc, qp
 
 from ellsum import (
     EllipticNome,
@@ -131,6 +132,41 @@ def test_theta_batch_truncation_budget():
 def test_theta_batch_zero_argument_rejected():
     with pytest.raises(ThetaDomainError):
         theta(np.array([0.5, 0.0]), nome(0.2))
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: theta(z; p) = (z; p)_inf (p/z; p)_inf in mpmath
+# ---------------------------------------------------------------------------
+
+ORACLE_P = [0.05, 0.2, 0.2 + 0.1j, 0.5, 0.9]
+# |z| from 1e-2 to 1e2, phases in golden-angle steps
+ORACLE_Z = (np.geomspace(1e-2, 1e2, 25) * np.exp(1j * (0.3 + 2.399963 * np.arange(25)))).tolist()
+
+
+@pytest.mark.parametrize("p", ORACLE_P)
+def test_theta_matches_mpmath_oracle(p):
+    batch = theta(np.array(ORACLE_Z), nome(p)).tolist()
+    with mp.workdps(40):
+        for z, batched in zip(ORACLE_Z, batch):
+            exact = qp(mpc(z), mpc(p)) * qp(mpc(p) / mpc(z), mpc(p))
+            for value in (theta(z, nome(p)), batched):
+                assert abs(value - exact) < 1e-13 * abs(exact), (z, value)
+
+
+@pytest.mark.parametrize("p", ORACLE_P)
+def test_theta_truncated_tail_is_below_contract(p):
+    # The scalar loop stops at the first j where |p^j z| and |p^(j+1)/z| are
+    # both below the cutoff; the factors it drops, j onwards, multiply to
+    # within 1e-18 of 1 (README, numerical contracts) for |p| <= 0.9.
+    cutoff = TruncationPolicy().cutoff
+    with mp.workdps(40):
+        for z in ORACLE_Z:
+            pj, j = complex(1.0), 0
+            while abs(pj * z) >= cutoff or abs(pj * p * (1.0 / z)) >= cutoff:
+                pj, j = pj * p, j + 1
+            P, Z = mpc(p), mpc(z)
+            tail = qp(P ** j * Z, P) * qp(P ** (j + 1) / Z, P)
+            assert abs(tail - 1) < 1e-18, (z, j)
 
 
 # ---------------------------------------------------------------------------

@@ -280,3 +280,29 @@ def test_cli_selftest_rejects_empty_suites(samples, capsys):
                                    ["--identity", "gr-summ"]])
 def test_cli_bench_bad_input_exits_2(flags, capsys):
     assert cli_main(["bench", "--N", "1", *flags]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", float("nan")), ("tolerance", -1e-8), ("n_values", ()), ("N_values", ())])
+def test_job_rejects_bad_numbers(field, value):
+    with pytest.raises(ValueError):
+        small_job(**{field: value})
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--tol", "nan"], ""), ([], "condition-cap = -1"), ([], "condition-cap = nan"),
+    ([], "min-z-separation = nan"), ([], "pole-floor = nan"), ([], "q-range = nan,1.5"),
+    ([], "modulus-range = 0.2,nan"), (["--p", "nan"], ""),
+])
+def test_cli_bad_numbers_exit_2(flags, line, tmp_path, capsys):
+    config = tmp_path / "job.cfg"
+    config.write_text(f"identities = gr-sum\nn = 1\nN = 0\ntrials = 1\n{line}\n")
+    assert cli_main(["verify", "--config", str(config), *flags]) == 2
+    assert "ellsum:" in capsys.readouterr().err
+
+
+def test_cli_p_near_one_exits_2_with_truncation_message(capsys):
+    code = cli_main(["verify", "--identity", "gr-sum", "--n", "2", "--N", "1",
+                     "--p", "0.97"])
+    assert code == 2
+    assert "theta product needs more than 1000 factors" in capsys.readouterr().err
