@@ -105,8 +105,14 @@ def _check_partial_fraction_balance(zs, bs, t):
 def tpf_lhs(zs: Sequence[complex], bs: Sequence[complex], t: complex,
             nome: EllipticNome) -> complex:
     """Partial-fraction sum side of the balanced theta interpolation identity."""
+    return _tpf_sum(zs, bs, t, nome)[0]
+
+
+def _tpf_sum(zs, bs, t, nome) -> tuple[complex, float]:
+    """tpf_lhs and the largest modulus of its terms."""
     _check_partial_fraction_balance(zs, bs, t)
     total = complex(0.0)
+    largest = 0.0
     n = len(zs)
     for k in range(n):
         zk = zs[k]
@@ -123,8 +129,10 @@ def tpf_lhs(zs: Sequence[complex], bs: Sequence[complex], t: complex,
             if factor == 0:
                 raise PoleError(f"theta(z[{k}]/z[{j}])")
             den *= factor
-        total += num / den
-    return total
+        term = num / den
+        total += term
+        largest = max(largest, abs(term))
+    return total, largest
 
 
 def tpf_rhs(zs: Sequence[complex], bs: Sequence[complex], t: complex,

@@ -55,39 +55,45 @@ def _require(condition: bool, message: str):
         raise BalancingError(f"reduction premise violated: {message}")
 
 
+def _sides(inst, pole_floor):
+    return (evaluate_lhs(inst, pole_floor=pole_floor)[0],
+            evaluate_rhs(inst, pole_floor=pole_floor)[0])
+
+
+def _against(inst, pole_floor, identity, given, dependent, expected, *,
+             scale=None, cross=False, **shape):
+    """Solve the companion `identity` instance from `given`, require its
+    `dependent` to equal `expected`, and return the worst error between the
+    left sides and between the right sides (inst's times `scale` if given),
+    or with `cross` the error of the cross ratio of the four sides."""
+    companion = solve_balancing(identity, given, nome=inst.nome, **shape)
+    _require(relative_error(companion.params[dependent], expected) < 1e-10,
+             f"constraints disagree on {dependent}")
+    lhs, rhs = _sides(inst, pole_floor)
+    other_lhs, other_rhs = _sides(companion, pole_floor)
+    if cross:
+        return relative_error(other_lhs * rhs, lhs * other_rhs)
+    if scale is not None:
+        lhs, rhs = scale * lhs, scale * rhs
+    return max(relative_error(lhs, other_lhs), relative_error(rhs, other_rhs))
+
+
 def _check_gr_sum_to_theta_lemma(inst, pole_floor):
     _require(inst.N == 1, "gr-sum instance must have N = 1")
-    lemma = solve_balancing(
-        "theta-lemma",
-        {name: inst.params[name] for name in ("b1", "b2", "b3")},
-        nome=inst.nome, z=inst.z)
     # Same b4 must come out: the N = 1 constraint coincides with the lemma's.
-    _require(relative_error(lemma.params["b4"], inst.params["b4"]) < 1e-10,
-             "constraints disagree on b4")
-    scale = theta(inst.nome.q, inst.nome)
-    gs_lhs, _ = evaluate_lhs(inst, pole_floor=pole_floor)
-    gs_rhs, _ = evaluate_rhs(inst, pole_floor=pole_floor)
-    tl_lhs, _ = evaluate_lhs(lemma, pole_floor=pole_floor)
-    tl_rhs, _ = evaluate_rhs(lemma, pole_floor=pole_floor)
-    residual = max(relative_error(scale * gs_lhs, tl_lhs),
-                   relative_error(scale * gs_rhs, tl_rhs))
+    residual = _against(inst, pole_floor, "theta-lemma",
+                        {name: inst.params[name] for name in ("b1", "b2", "b3")},
+                        "b4", inst.params["b4"], z=inst.z,
+                        scale=theta(inst.nome.q, inst.nome))
     return residual, "theta(q) * gr-sum sides vs theta-lemma sides"
 
 
 def _check_gr_corollary_to_gr_sum(inst, pole_floor):
-    a = inst.params["a"]
-    extra = ipow(inst.nome.q, -inst.N) / a
-    grown = solve_balancing(
-        "gr-sum",
-        {name: inst.params[name] for name in ("b1", "b2", "b3")},
-        nome=inst.nome, z=inst.z + (extra,), N=inst.N)
-    _require(relative_error(grown.params["b4"], inst.params["b4"]) < 1e-10,
-             "constraints disagree on b4 after appending z_(n+1)")
-    gs_lhs, _ = evaluate_lhs(grown, pole_floor=pole_floor)
-    gs_rhs, _ = evaluate_rhs(grown, pole_floor=pole_floor)
-    gc_lhs, _ = evaluate_lhs(inst, pole_floor=pole_floor)
-    gc_rhs, _ = evaluate_rhs(inst, pole_floor=pole_floor)
-    residual = relative_error(gs_lhs * gc_rhs, gc_lhs * gs_rhs)
+    extra = ipow(inst.nome.q, -inst.N) / inst.params["a"]
+    residual = _against(inst, pole_floor, "gr-sum",
+                        {name: inst.params[name] for name in ("b1", "b2", "b3")},
+                        "b4", inst.params["b4"], z=inst.z + (extra,), N=inst.N,
+                        cross=True)
     return residual, "cross ratio of gr-sum (n+1 vars) vs gr-corollary sides"
 
 
@@ -102,17 +108,9 @@ def _check_bt_to_gr_corollary(inst, pole_floor):
     aq = p_["a"] * inst.nome.q
     _require(relative_error(aq, p_["b"] * p_["c"]) < 1e-10,
              "bt-transform instance must have aq = bc")
-    companion = solve_balancing(
-        "gr-corollary",
-        {"a": p_["a"], "b1": p_["d"], "b2": p_["e"], "b3": p_["f"]},
-        nome=inst.nome, z=inst.z, N=inst.N)
-    _require(relative_error(companion.params["b4"], p_["g"]) < 1e-10,
-             "constraints disagree on the dependent parameter")
-    bt_lhs, _ = evaluate_lhs(inst, pole_floor=pole_floor)
-    bt_rhs, _ = evaluate_rhs(inst, pole_floor=pole_floor)
-    gc_lhs, _ = evaluate_lhs(companion, pole_floor=pole_floor)
-    gc_rhs, _ = evaluate_rhs(companion, pole_floor=pole_floor)
-    residual = max(relative_error(bt_lhs, gc_lhs), relative_error(bt_rhs, gc_rhs))
+    residual = _against(inst, pole_floor, "gr-corollary",
+                        {"a": p_["a"], "b1": p_["d"], "b2": p_["e"], "b3": p_["f"]},
+                        "b4", p_["g"], z=inst.z, N=inst.N)
     return residual, "bt-transform sides vs gr-corollary sides at aq = bc"
 
 
@@ -120,18 +118,10 @@ def _check_gr_corollary_to_frenkel_turaev(inst, pole_floor):
     _require(inst.n == 1, "gr-corollary instance must have n = 1")
     p_ = inst.params
     z1 = inst.z[0]
-    companion = solve_balancing(
-        "frenkel-turaev",
-        {"a": p_["a"] * z1, "b": z1 * p_["b1"], "c": z1 * p_["b2"],
-         "d": z1 * p_["b3"]},
-        nome=inst.nome, N=inst.N)
-    _require(relative_error(companion.params["e"], z1 * p_["b4"]) < 1e-10,
-             "constraints disagree on the dependent parameter")
-    gc_lhs, _ = evaluate_lhs(inst, pole_floor=pole_floor)
-    gc_rhs, _ = evaluate_rhs(inst, pole_floor=pole_floor)
-    ft_lhs, _ = evaluate_lhs(companion, pole_floor=pole_floor)
-    ft_rhs, _ = evaluate_rhs(companion, pole_floor=pole_floor)
-    residual = max(relative_error(gc_lhs, ft_lhs), relative_error(gc_rhs, ft_rhs))
+    residual = _against(inst, pole_floor, "frenkel-turaev",
+                        {"a": p_["a"] * z1, "b": z1 * p_["b1"], "c": z1 * p_["b2"],
+                         "d": z1 * p_["b3"]},
+                        "e", z1 * p_["b4"], N=inst.N)
     return residual, "gr-corollary n=1 sides vs frenkel-turaev sides"
 
 
@@ -146,17 +136,10 @@ def _check_general_to_jts(inst, pole_floor):
              "general-jackson d is not at its parity pin")
     _require(relative_error(p_["e"], want_e) < 1e-10,
              "general-jackson e is not at its parity pin")
-    companion = solve_balancing(
-        "jts-jackson",
-        {"a": p_["a"], "b": p_["b"], "c": p_["c"], "d": p_["f"], "t": p_["t"]},
-        nome=inst.nome, z=inst.z, N=inst.N)
-    _require(relative_error(companion.params["e"], p_["g"]) < 1e-10,
-             "constraints disagree on the dependent parameter")
-    gj_lhs, _ = evaluate_lhs(inst, pole_floor=pole_floor)
-    gj_rhs, _ = evaluate_rhs(inst, pole_floor=pole_floor)
-    jt_lhs, _ = evaluate_lhs(companion, pole_floor=pole_floor)
-    jt_rhs, _ = evaluate_rhs(companion, pole_floor=pole_floor)
-    residual = max(relative_error(gj_lhs, jt_lhs), relative_error(gj_rhs, jt_rhs))
+    residual = _against(inst, pole_floor, "jts-jackson",
+                        {"a": p_["a"], "b": p_["b"], "c": p_["c"], "d": p_["f"],
+                         "t": p_["t"]},
+                        "e", p_["g"], z=inst.z, N=inst.N)
     return residual, "general-jackson sides vs jts-jackson sides at the pin"
 
 

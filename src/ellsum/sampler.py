@@ -102,28 +102,33 @@ def _draw(rng: np.random.Generator, lo: float, hi: float) -> complex:
     return complex(modulus * math.cos(phase), modulus * math.sin(phase))
 
 
-def _lattice_distance(w: complex, p: complex) -> float:
-    """Distance from w to the zero set p^Z of theta(.; p), over the lattice
-    points of modulus 1e-6 .. 1e6."""
+def _lattice(p: complex) -> list[complex]:
+    """The points of modulus 1e-6 .. 1e6 of the zero set p^Z of theta(.; p)."""
+    points = [complex(1.0)]
     if p == 0:
-        return abs(w - 1.0)
-    best = abs(w - 1.0)
+        return points
     pk = complex(p)
     while abs(pk) > 1e-6:
-        best = min(best, abs(w - pk))
+        points.append(pk)
         pk *= p
     pk = 1.0 / complex(p)
     while abs(pk) < 1e6:
-        best = min(best, abs(w - pk))
+        points.append(pk)
         pk /= p
-    return best
+    return points
+
+
+def _lattice_distance(w: complex, lattice: list[complex]) -> float:
+    """Distance from w to the nearest point of a _lattice."""
+    return min(abs(w - point) for point in lattice)
 
 
 def _z_separated(z: tuple[complex, ...], p: complex, min_sep: float) -> bool:
     """Pairwise ratios and their inverses must stay min_sep away from the
     zero set p^Z of theta."""
+    lattice = _lattice(p)
     ratios = [z[j] / z[i] for i in range(len(z)) for j in range(i + 1, len(z))]
-    return all(_lattice_distance(w, p) >= min_sep
+    return all(_lattice_distance(w, lattice) >= min_sep
                for ratio in ratios for w in (ratio, 1.0 / ratio))
 
 

@@ -128,23 +128,31 @@ def theta(z, nome: EllipticNome):
     z = complex(z)
     if z == 0:
         raise ThetaDomainError("theta(0) is undefined for p != 0")
-    cutoff = nome.truncation.cutoff
     inv_z = 1.0 / z
     result = complex(1.0)
     pj = complex(1.0)
-    for _ in range(nome.truncation.max_terms):
-        t1 = pj * z
-        t2 = pj * p * inv_z
-        if abs(t1) < cutoff and abs(t2) < cutoff:
-            if not cmath.isfinite(result):
-                raise NonFiniteError(f"theta({z}) overflowed")
-            return result
-        result *= (1.0 - t1) * (1.0 - t2)
+    for _ in range(int(_factor_counts(abs(z), nome))):
+        result *= (1.0 - pj * z) * (1.0 - pj * p * inv_z)
         pj *= p
-    raise TruncationBudgetError(
-        f"theta product needs more than {nome.truncation.max_terms} factors "
-        f"(|p| = {abs(p):.6g}, |z| = {abs(z):.6g})"
-    )
+    if not cmath.isfinite(result):
+        raise NonFiniteError(f"theta({z}) overflowed")
+    return result
+
+
+def _factor_counts(abs_z, nome: EllipticNome):
+    """How many factors (1 - p^j z)(1 - p^(j+1)/z) the product multiplies for
+    |z| = abs_z, a float or an array: j runs while |p^j z| or |p^(j+1)/z| is
+    at least the cutoff.  Raises TruncationBudgetError past max_terms."""
+    log_z = np.log(abs_z)
+    log_cut, log_inv_p = math.log(nome.truncation.cutoff), -math.log(abs(nome.p))
+    # the larger reach is at least -log_cut / log_inv_p - 1/2 > -1/2, so >= 0
+    counts = np.floor(np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p)
+                      / log_inv_p) + 1
+    if not counts.max() < nome.truncation.max_terms:  # NaN fails too
+        raise TruncationBudgetError(
+            f"theta product needs more than {nome.truncation.max_terms} factors "
+            f"(|p| = {abs(nome.p):.6g}, |z| up to {np.max(abs_z):.6g})")
+    return counts
 
 
 #: Factors per block of the batched product; a power of two.
@@ -157,16 +165,7 @@ def _theta_array(z: np.ndarray, nome: EllipticNome) -> np.ndarray:
         return 1.0 - z
     if not z.all():
         raise ThetaDomainError("theta(0) is undefined for p != 0")
-    # Factors per argument: j runs while |p^j z| or |p^(j+1)/z| is at least
-    # the cutoff, as in the scalar loop (up to rounding at the boundary).
-    log_z = np.log(np.abs(z))
-    log_cut, log_inv_p = math.log(nome.truncation.cutoff), -math.log(abs(p))
-    reach = np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p) / log_inv_p
-    counts = np.maximum(np.floor(reach) + 1, 0)
-    if counts.max() >= nome.truncation.max_terms:
-        raise TruncationBudgetError(
-            f"theta product needs more than {nome.truncation.max_terms} factors "
-            f"(|p| = {abs(p):.6g}, |z| up to {np.abs(z).max():.6g})")
+    counts = _factor_counts(np.abs(z), nome)
     inv_z = 1.0 / z
     pj = complex(1.0)  # p^j built as the scalar loop builds it
     result = None

@@ -105,23 +105,23 @@ class VerificationReport:
 
 
 def _cells_of(job: VerificationJob):
-    """Deterministic cell list: (identity, Shape, p index, p).
+    """Deterministic cell list: (identity, Shape, p).
 
     Each (n, N) of the grid is resolved by CatalogEntry.shape; grid points
     that resolve to the same shape (the n of a scalar identity, the N of a
-    vector-only one) make one cell.
+    vector-only one) make one cell, and so does a repeated p.
     """
     cells = []
     for identity_id in sorted(job.identities, key=IDENTITY_IDS.index):
         shape_of = catalog_entry(identity_id).shape
         for shape in dict.fromkeys(shape_of(n, N) for n in job.n_values for N in job.N_values):
-            for p_index, p in enumerate(job.config.p_values):
-                cells.append((identity_id, shape, p_index, complex(p)))
+            for p in dict.fromkeys(complex(p) for p in job.config.p_values):
+                cells.append((identity_id, shape, p))
     return cells
 
 
 def _run_cell(job: VerificationJob, cell) -> list[TrialResult]:
-    identity_id, (n, N, box), _p_index, p = cell
+    identity_id, (n, N, box), p = cell
     results = []
     for trial_index in range(job.trials):
         try:
@@ -184,7 +184,7 @@ def run_job(job: VerificationJob, *, jobs: int | None = None) -> VerificationRep
     trials: list[TrialResult] = []
     cell_summaries: list[dict] = []
     for cell, results in zip(cells, per_cell):
-        identity_id, (n, N, box), _p_index, p = cell
+        identity_id, (n, N, box), p = cell
         trials.extend(results)
         errors = sorted(r.relative_error for r in results if r.status != "resample-exhausted")
         rejections = {reason: 0 for reason in REJECTION_REASONS}

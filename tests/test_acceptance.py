@@ -73,7 +73,8 @@ def test_criterion_2_theta_property_suite():
     worst = max(r.max_rel_err for r in results)
     passed = all(r.passed for r in results)
     _announce(2, "theta/shifted-factorial properties", passed,
-              f"5 suites x 1000 samples, max rel err {worst:.3e}")
+              f"{' + '.join(str(r.samples) for r in results)} samples, "
+              f"max rel err {worst:.3e}")
 
 
 def test_criterion_3_ratio_cross_formula():
@@ -88,7 +89,7 @@ def test_criterion_4_balanced_sum_and_interpolation():
     passed = balanced.passed and interp.passed
     worst = max(balanced.max_rel_err, interp.max_rel_err)
     _announce(4, "balanced sum and interpolation", passed,
-              f"500 + 500 samples, max rel err {worst:.3e}")
+              f"{balanced.samples} + {interp.samples} samples, max rel err {worst:.3e}")
 
 
 def test_criterion_5_reduction_cross_checks():

@@ -75,6 +75,14 @@ def test_ratio_equivalence_seeded():
     assert result.passed, result.line()
 
 
+def test_incomplete_suite_fails():
+    # max_weight = -1 rejects every draw: no sample completes, so no PASS
+    result = check_ratio_equivalence(5, seed=0, max_weight=-1)
+    assert (result.requested, result.samples) == (5, 0)
+    assert not result.passed
+    assert result.line().startswith("FAIL A-type ratio equivalence: 0 of 5 samples")
+
+
 # ---------------------------------------------------------------------------
 # balanced partial-fraction sum
 # ---------------------------------------------------------------------------

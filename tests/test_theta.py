@@ -21,6 +21,7 @@ from ellsum import (
     relative_error,
     theta,
 )
+from ellsum.theta import _factor_counts
 
 
 def nome(p, q=0.5, **policy):
@@ -155,15 +156,13 @@ def test_theta_matches_mpmath_oracle(p):
 
 @pytest.mark.parametrize("p", ORACLE_P)
 def test_theta_truncated_tail_is_below_contract(p):
-    # The scalar loop stops at the first j where |p^j z| and |p^(j+1)/z| are
-    # both below the cutoff; the factors it drops, j onwards, multiply to
-    # within 1e-18 of 1 (README, numerical contracts) for |p| <= 0.9.
-    cutoff = TruncationPolicy().cutoff
+    # theta multiplies the factors j < _factor_counts(|z|), scalar and batched;
+    # the factors it drops, j onwards, multiply to within 1e-18 of 1 (README,
+    # numerical contracts) for |p| <= 0.9.
+    counts = _factor_counts(np.abs(ORACLE_Z), nome(p))
     with mp.workdps(40):
-        for z in ORACLE_Z:
-            pj, j = complex(1.0), 0
-            while abs(pj * z) >= cutoff or abs(pj * p * (1.0 / z)) >= cutoff:
-                pj, j = pj * p, j + 1
+        for z, j in zip(ORACLE_Z, counts.astype(int).tolist()):
+            assert j == _factor_counts(abs(z), nome(p))
             P, Z = mpc(p), mpc(z)
             tail = qp(P ** j * Z, P) * qp(P ** (j + 1) / Z, P)
             assert abs(tail - 1) < 1e-18, (z, j)

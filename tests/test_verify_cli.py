@@ -103,6 +103,16 @@ def test_resample_exhaustion_fails_report():
     assert any(t.status == "resample-exhausted" for t in report.trials)
 
 
+def test_repeated_grid_values_make_one_cell():
+    # a repeated n, N or p is the same cell, not a second copy of it
+    once = run_job(small_job(identities=("gr-sum",), n_values=(1,), N_values=(1,),
+                             config=SampleConfig(seed=5, p_values=(0.2,))))
+    twice = run_job(small_job(identities=("gr-sum",), n_values=(1, 1), N_values=(1, 1),
+                              config=SampleConfig(seed=5, p_values=(0.2, 0.2))))
+    assert len(twice.cells) == 1 and len(twice.trials) == 3
+    assert twice.cells == once.cells and twice.trials == once.trials
+
+
 def test_spread_box():
     assert spread_box(3, 4) == (2, 1, 1)
     assert spread_box(4, 4) == (1, 1, 1, 1)
