@@ -32,6 +32,7 @@ the order the CLI lists them (`ellsum list` prints each constraint).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .errors import BalancingError
@@ -66,6 +67,11 @@ class Constraint:
         for name, exponent in self.exponents:
             value *= ipow(params[name], exponent)
         return value
+
+    @cached_property
+    def dependent_exponent(self) -> int:
+        """The exponent the dependent enters with (1 or -1 when solvable)."""
+        return dict(self.exponents)[self.dependent]
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,8 @@ class Shape(NamedTuple):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Static description of one identity."""
+    """Static description of one identity.  Its derived tuples are built on
+    first use and kept."""
 
     identity_id: str
     label: str
@@ -122,11 +129,11 @@ class CatalogEntry:
     sides: tuple[Side, Side]  # (left, right)
     lambda_rule: str | None = None  # "bcd" or "bde": lambda = a^2 q / (...)
 
-    @property
+    @cached_property
     def dependents(self) -> tuple[str, ...]:
         return tuple(c.dependent for c in self.constraints)
 
-    @property
+    @cached_property
     def free_params(self) -> tuple[str, ...]:
         deps = set(self.dependents)
         return tuple(name for name in self.params if name not in deps)
@@ -481,12 +488,8 @@ class IdentityInstance:
 
     def constraint_residuals(self) -> tuple[float, ...]:
         """Relative residual |monomial - 1| of each balancing constraint."""
-        Z = self.Z if self.z is not None else complex(1.0)
-        out = []
-        for constraint in self.entry.constraints:
-            monomial = constraint.monomial(self.params, self.nome.q, self.level, Z)
-            out.append(abs(monomial - 1.0))
-        return tuple(out)
+        return _residuals(self.entry, self.params, self.nome.q, self.level,
+                          self.Z if self.z is not None else complex(1.0))
 
     def with_params(self, **replacements: complex) -> "IdentityInstance":
         """Copy with some scalar parameters replaced (no re-solving)."""
@@ -496,6 +499,12 @@ class IdentityInstance:
             identity_id=self.identity_id, params=new_params, nome=self.nome,
             z=self.z, N=self.N, box=self.box,
         )
+
+
+def _residuals(entry: CatalogEntry, params: Mapping[str, complex], q: complex,
+               level: int, Z: complex) -> tuple[float, ...]:
+    return tuple(abs(constraint.monomial(params, q, level, Z) - 1.0)
+                 for constraint in entry.constraints)
 
 
 def solve_balancing(identity_id: str, partial: Mapping[str, complex], *,
@@ -510,16 +519,16 @@ def solve_balancing(identity_id: str, partial: Mapping[str, complex], *,
     CONSTRAINT_RESIDUAL_TOL relative.
     """
     entry = catalog_entry(identity_id)
-    free = set(entry.free_params)
-    given = set(partial)
-    if given - free:
+    free = entry.free_params
+    if partial.keys() != set(free):
+        given, wanted = set(partial), set(free)
+        if given - wanted:
+            raise BalancingError(
+                f"{identity_id}: unexpected parameters {sorted(given - wanted)} "
+                f"(dependent: {entry.dependents})")
         raise BalancingError(
-            f"{identity_id}: unexpected parameters {sorted(given - free)} "
-            f"(dependent: {entry.dependents})")
-    if free - given:
-        raise BalancingError(
-            f"{identity_id}: missing parameters {sorted(free - given)}")
-    params = {name: complex(partial[name]) for name in entry.free_params}
+            f"{identity_id}: missing parameters {sorted(wanted - given)}")
+    params = {name: complex(partial[name]) for name in free}
     for name, value in params.items():
         if value == 0:
             raise BalancingError(f"{identity_id}: parameter {name} must be nonzero")
@@ -535,18 +544,18 @@ def solve_balancing(identity_id: str, partial: Mapping[str, complex], *,
 
     instance = IdentityInstance(identity_id=identity_id, params=params, nome=nome,
                                 z=z, N=shape.N, box=shape.box)
+    level = shape.level
     Z = instance.Z if z is not None else complex(1.0)
     for constraint in entry.constraints:
         # the monomial with the dependent set to 1 is its inverse when it enters
         # with exponent 1, itself when -1; the residual check catches the rest
-        rest = constraint.monomial({**params, constraint.dependent: 1.0}, nome.q,
-                                   shape.level, Z)
-        value = 1.0 / rest if dict(constraint.exponents)[constraint.dependent] == 1 else rest
+        rest = constraint.monomial({**params, constraint.dependent: 1.0}, nome.q, level, Z)
+        value = 1.0 / rest if constraint.dependent_exponent == 1 else rest
         if value == 0:
             raise BalancingError(
                 f"{identity_id}: constraint forces {constraint.dependent} = 0")
         params[constraint.dependent] = value
-    residuals = instance.constraint_residuals()
+    residuals = _residuals(entry, params, nome.q, level, Z)
     if max(residuals) > CONSTRAINT_RESIDUAL_TOL:
         raise BalancingError(
             f"{identity_id}: constraint residual {max(residuals):.3e} "

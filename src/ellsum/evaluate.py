@@ -16,7 +16,8 @@ N_j ("|x|-x_i", "x_i*x_j").  An evaluation runs in three steps:
 
   * plan (built on first use, then cached): per (side, indices, N or box),
     every theta argument B q^j some term multiplies, the shifted-factorial
-    tables built from them, and each term's table slots;
+    tables built from them, and each term's table slots (as Python lists
+    too, for a small sum);
   * batch: all theta arguments of the side in one vectorised call, then
     each table (B)_0 .. (B)_K by a running product;
   * assemble: gather each term from the tables and sum the terms with
@@ -257,6 +258,9 @@ class _Plan:
         dtype = np.int16 if slot < 2 ** 15 else np.int32
         self.const_num, self.num = _split_constant(num, count, dtype)
         self.const_den, self.den = _split_constant(den, count, dtype)
+        # a small sum gathers in Python, from per-term slot lists
+        self.rows = (list(zip(self.num.tolist(), self.den.tolist()))
+                     if count < NUMPY_TERMS else None)
 
 
 def _split_constant(columns: list, count: int, dtype) -> tuple[tuple, np.ndarray]:
@@ -341,9 +345,8 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
         re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
         largest = float(np.abs(terms).max())
     else:
-        rows = list(zip(plan.num.tolist(), plan.den.tolist()))
-        m = [math.prod(map(get_m, a)) / math.prod(map(get_m, b)) for a, b in rows]
-        e = [sum(map(get_e, a)) - sum(map(get_e, b)) for a, b in rows]
+        m = [math.prod(map(get_m, a)) / math.prod(map(get_m, b)) for a, b in plan.rows]
+        e = [sum(map(get_e, a)) - sum(map(get_e, b)) for a, b in plan.rows]
         top = max((k for v, k in zip(m, e) if v), default=0)
         terms = [v * math.ldexp(1.0, k - top) for v, k in zip(m, e)]
         re, im = math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)

@@ -27,14 +27,18 @@ functions of the form f(w) = C theta(aw, a/w):
     f(w) = f(b) theta(cw, c/w)/theta(cb, c/b)
          + f(c) theta(bw, b/w)/theta(bc, b/c).
 
-Index enumeration is lazy and in a fixed total order so that runs replay
-identically.
+Index enumeration is in a fixed total order so that runs replay
+identically.  The enumerators are generators over index tuples built on the
+first request for a (total, parts) or a box and kept, so a repeated domain
+costs a walk over a stored tuple.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
+from itertools import product
 
 from .errors import BalancingError, PoleError
 from .theta import EllipticNome, elliptic_pochhammer, ipow, theta
@@ -171,19 +175,22 @@ def weierstrass_rhs(f_b: complex, f_c: complex, b: complex, c: complex,
 def compositions_exact(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All x in Z_{>=0}^parts with sum(x) == total, first entry descending.
 
-    Lazily yields count = binom(total + parts - 1, parts - 1) tuples, each
-    exactly once, in a stable total order.
+    Yields count = binom(total + parts - 1, parts - 1) tuples, each exactly
+    once, in a stable total order.
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
+    yield from _exact(total, parts)
+
+
+@lru_cache(maxsize=256)
+def _exact(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in compositions_exact(total - head, parts - 1):
-            yield (head,) + tail
+        return ((total,),)
+    return tuple((head,) + tail for head in range(total, -1, -1)
+                 for tail in _exact(total - head, parts - 1))
 
 
 def compositions_bounded(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -193,8 +200,14 @@ def compositions_bounded(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    for weight in range(total + 1):
-        yield from compositions_exact(weight, parts)
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    yield from _bounded(total, parts)
+
+
+@lru_cache(maxsize=256)
+def _bounded(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(x for weight in range(total + 1) for x in _exact(weight, parts))
 
 
 def box_indices(limits: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -207,13 +220,9 @@ def box_indices(limits: Sequence[int]) -> Iterator[tuple[int, ...]]:
         raise ValueError("limits must be nonempty")
     if any(m < 0 for m in limits):
         raise ValueError(f"limits must be >= 0, got {limits}")
-    x = [0] * len(limits)
-    while True:
-        yield tuple(x)
-        i = len(limits) - 1
-        while i >= 0 and x[i] == limits[i]:
-            x[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        x[i] += 1
+    yield from _box(limits)
+
+
+@lru_cache(maxsize=256)
+def _box(limits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(product(*(range(m + 1) for m in limits)))

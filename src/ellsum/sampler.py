@@ -21,6 +21,13 @@ own stream from SeedSequence entropy built out of (seed, catalog index of
 the identity, n, N or box, trial index, bit pattern of p), so trials are
 independent, reorderable, and reproducible across runs: the same
 (config, identity, n, N, p, trial_index) always yields the same instance.
+
+An attempt draws q, the free parameters and z, in that order, each from
+two uniforms (modulus, then phase).  It takes all of them from the stream
+in one rng.random call: these are the same doubles, in the same order,
+that one rng.uniform call per uniform would return, and _polar maps them
+with the same lo + (hi - lo) u, so the values are bit-identical.  The
+lattice p^Z of the separation gate is built once per p.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -92,21 +100,50 @@ def _rng_for(config: SampleConfig, identity_id: str, shape: Shape, trial_index: 
         _float_bits(complex(p).imag),
         *shape.level_code,
     ]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_words(entropy))))
+
+
+def _words(entropy: list[int]) -> np.ndarray:
+    """The uint32 words SeedSequence hashes for a list of ints: each int's
+    32-bit words, least significant first, and one word for 0.  Passing them
+    as one array skips its conversion of each int, about 7 us a trial."""
+    words = []
+    for value in entropy:
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _polar(log_lo: float, log_hi: float, u_modulus: float, u_phase: float) -> complex:
+    """The value of two uniforms u in [0, 1): modulus exp(log_lo + (log_hi -
+    log_lo) u_modulus), phase 2 pi u_phase, as rng.uniform maps them."""
+    modulus = math.exp(log_lo + (log_hi - log_lo) * u_modulus)
+    phase = _TWO_PI * u_phase  # rng.uniform(0, 2 pi) is 0 + (2 pi - 0) u, the same double
+    return complex(modulus * math.cos(phase), modulus * math.sin(phase))
+
+
+def _draws(rng: np.random.Generator, log_ranges) -> list[complex]:
+    """One _polar value per (log lo, log hi) range, from one rng.random call."""
+    u = rng.random(2 * len(log_ranges)).tolist()
+    return [_polar(log_lo, log_hi, u[2 * k], u[2 * k + 1])
+            for k, (log_lo, log_hi) in enumerate(log_ranges)]
 
 
 def _draw(rng: np.random.Generator, lo: float, hi: float) -> complex:
     """Log-uniform modulus in [lo, hi], uniform phase."""
-    modulus = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(modulus * math.cos(phase), modulus * math.sin(phase))
+    return _polar(math.log(lo), math.log(hi), *rng.random(2).tolist())
 
 
-def _lattice(p: complex) -> list[complex]:
+@lru_cache(maxsize=64)
+def _lattice(p: complex) -> tuple[complex, ...]:
     """The points of modulus 1e-6 .. 1e6 of the zero set p^Z of theta(.; p)."""
     points = [complex(1.0)]
     if p == 0:
-        return points
+        return tuple(points)
     pk = complex(p)
     while abs(pk) > 1e-6:
         points.append(pk)
@@ -115,10 +152,10 @@ def _lattice(p: complex) -> list[complex]:
     while abs(pk) < 1e6:
         points.append(pk)
         pk /= p
-    return points
+    return tuple(points)
 
 
-def _lattice_distance(w: complex, lattice: list[complex]) -> float:
+def _lattice_distance(w: complex, lattice: tuple[complex, ...]) -> float:
     """Distance from w to the nearest point of a _lattice."""
     return min(abs(w - point) for point in lattice)
 
@@ -154,13 +191,16 @@ def _attempt(identity_id: str, shape: Shape, *, config: SampleConfig, p: complex
     """One sampling attempt: (REJECTION_REASONS entry, result), where result
     is (instance, lhs, rhs, condition) on a pass and None otherwise."""
     entry = catalog_entry(identity_id)
-    lo, hi = config.modulus_range
-    q = _draw(rng, *config.q_range)
+    free = entry.free_params
+    modulus = tuple(map(math.log, config.modulus_range))
+    values = _draws(rng, [tuple(map(math.log, config.q_range)),
+                          *[modulus] * (len(free) + (shape.n or 0))])
+    q = values[0]
     nome = EllipticNome(p, q, config.truncation)
 
-    drawn = {name: _draw(rng, lo, hi) for name in entry.free_params}
+    drawn = dict(zip(free, values[1:]))
 
-    z = None if shape.n is None else tuple(_draw(rng, lo, hi) for _ in range(shape.n))
+    z = None if shape.n is None else tuple(values[1 + len(free):])
     Z = complex(1.0)
     if z is not None:
         for v in z:

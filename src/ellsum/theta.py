@@ -26,7 +26,12 @@ theta also takes a numpy array of arguments and evaluates it in one
 vectorised pass over blocks of the factors (1 - p^j z)(1 - p^{j+1}/z), one
 column per argument.  Each argument stops where its own scalar evaluation
 stops and later factors are exactly 1, so a value does not depend on which
-other arguments share its batch.
+other arguments share its batch.  A block's tables (the columns p^j and
+p^(j+1) and the row indices j) depend on p alone: they are built on first
+use, by the scalar loop's repeated multiplication, and kept.
+
+A non-finite argument raises NonFiniteError at p != 0 (at p = 0 the value
+1 - z is returned as it is).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,10 +134,12 @@ def theta(z, nome: EllipticNome):
     z = complex(z)
     if z == 0:
         raise ThetaDomainError("theta(0) is undefined for p != 0")
+    if not cmath.isfinite(z):
+        raise NonFiniteError(f"theta({z}) of a non-finite argument")
     inv_z = 1.0 / z
     result = complex(1.0)
     pj = complex(1.0)
-    for _ in range(int(_factor_counts(abs(z), nome))):
+    for _ in range(_factor_counts(abs(z), nome)):
         result *= (1.0 - pj * z) * (1.0 - pj * p * inv_z)
         pj *= p
     if not cmath.isfinite(result):
@@ -142,13 +150,24 @@ def theta(z, nome: EllipticNome):
 def _factor_counts(abs_z, nome: EllipticNome):
     """How many factors (1 - p^j z)(1 - p^(j+1)/z) the product multiplies for
     |z| = abs_z, a float or an array: j runs while |p^j z| or |p^(j+1)/z| is
-    at least the cutoff.  Raises TruncationBudgetError past max_terms."""
-    log_z = np.log(abs_z)
+    at least the cutoff.  Raises TruncationBudgetError past max_terms.
+
+    A float |z| takes numpy's log, as an array does (math.log differs from it
+    in the last bit on about 1 argument in 10^4), and Python's float
+    arithmetic for the rest, which is the same IEEE arithmetic as numpy's, so
+    both give the same count for the same |z|."""
     log_cut, log_inv_p = math.log(nome.truncation.cutoff), -math.log(abs(nome.p))
     # the larger reach is at least -log_cut / log_inv_p - 1/2 > -1/2, so >= 0
-    counts = np.floor(np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p)
-                      / log_inv_p) + 1
-    if not counts.max() < nome.truncation.max_terms:  # NaN fails too
+    if isinstance(abs_z, float):
+        log_z = float(np.log(abs_z))
+        counts = top = math.floor(max(log_z - log_cut, -log_z - log_cut - log_inv_p)
+                                  / log_inv_p) + 1
+    else:
+        log_z = np.log(abs_z)
+        counts = np.floor(np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p)
+                          / log_inv_p) + 1
+        top = counts.max()
+    if not top < nome.truncation.max_terms:  # NaN fails too
         raise TruncationBudgetError(
             f"theta product needs more than {nome.truncation.max_terms} factors "
             f"(|p| = {abs(nome.p):.6g}, |z| up to {np.max(abs_z):.6g})")
@@ -159,27 +178,41 @@ def _factor_counts(abs_z, nome: EllipticNome):
 _BLOCK = 32
 
 
+@lru_cache(maxsize=256)
+def _block(p: complex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
+    """Tables of block k at p: the columns p^j and p^(j+1) and the row
+    indices j for j in [k _BLOCK, (k+1) _BLOCK), and p^j of the next row.
+    p^j is built as the scalar loop builds it, continuing block k - 1."""
+    pj = complex(1.0) if k == 0 else _block(p, k - 1)[3]
+    powers = []
+    for _ in range(_BLOCK):
+        powers.append(pj)
+        pj *= p
+    column = np.array(powers)[:, None]
+    tables = (column, column * p, np.arange(k * _BLOCK, (k + 1) * _BLOCK)[:, None])
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, pj)
+
+
 def _theta_array(z: np.ndarray, nome: EllipticNome) -> np.ndarray:
     p = nome.p
     if p == 0 or not z.size:
         return 1.0 - z
     if not z.all():
         raise ThetaDomainError("theta(0) is undefined for p != 0")
+    if not np.isfinite(z).all():
+        raise NonFiniteError("theta of a non-finite argument")
     counts = _factor_counts(np.abs(z), nome)
     inv_z = 1.0 / z
-    pj = complex(1.0)  # p^j built as the scalar loop builds it
     result = None
-    for start in range(0, int(counts.max()), _BLOCK):
-        powers = []
-        for _ in range(_BLOCK):
-            powers.append(pj)
-            pj *= p
-        powers = np.array(powers)[:, None]
-        done = np.arange(start, start + _BLOCK)[:, None] >= counts
+    for k in range(-(-int(counts.max()) // _BLOCK)):
+        powers, next_powers, rows, _ = _block(p, k)
+        done = rows >= counts
         # Factors past an argument's count are exactly 1.  Halving a block
         # multiplies the same pairs for every batch, and contiguous halves
         # keep numpy on one rounding path whatever len(z) is.
-        factors = np.where(done, 1.0, (1.0 - powers * z) * (1.0 - (powers * p) * inv_z))
+        factors = np.where(done, 1.0, (1.0 - powers * z) * (1.0 - next_powers * inv_z))
         while len(factors) > 1:
             half = len(factors) // 2
             factors = factors[:half] * factors[half:]

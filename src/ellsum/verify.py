@@ -10,7 +10,8 @@ full instance so they can be replayed standalone.
 Trial evaluation is embarrassingly parallel.  The ELLSUM_JOBS environment
 variable sets the default number of worker processes (1 = in-process; a
 value that is not an integer >= 1 is a ValueError); the report bytes do not
-depend on the degree.
+depend on the degree.  The process pool is imported only by a run that uses
+one.
 
 Each grid point (n, N) is resolved to an index shape by CatalogEntry.shape.
 Box limits for the box-arity identity come from spreading N over n
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any
@@ -173,6 +173,8 @@ def run_job(job: VerificationJob, *, jobs: int | None = None) -> VerificationRep
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     if degree > 1 and len(cells) > 1:
+        # imported here: the process pool machinery is a third of `import ellsum`
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=degree) as pool:
             timed = list(pool.map(_cell_worker, [(job, c) for c in cells]))
     else:

@@ -200,6 +200,46 @@ def test_compositions_bounded_distinct_and_complete(total, parts):
     assert all(sum(x) <= total for x in seen)
 
 
+def _exact_reference(total, parts):
+    """The recursion the memoised compositions_exact replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in _exact_reference(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _box_reference(limits):
+    """The odometer the memoised box_indices replaced."""
+    x = [0] * len(limits)
+    while True:
+        yield tuple(x)
+        i = len(limits) - 1
+        while i >= 0 and x[i] == limits[i]:
+            x[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        x[i] += 1
+
+
+def test_memoised_enumerators_match_their_references():
+    for parts in range(1, 6):
+        for total in range(9):
+            exact = list(_exact_reference(total, parts))
+            bounded = [x for w in range(total + 1) for x in _exact_reference(w, parts)]
+            for _ in range(2):  # first call builds the tuple, the second reuses it
+                got = compositions_exact(total, parts)
+                assert isinstance(got, GeneratorType) and list(got) == exact
+                got = compositions_bounded(total, parts)
+                assert isinstance(got, GeneratorType) and list(got) == bounded
+    for limits in [(0,), (3,), (1, 2), (2, 0, 3), (1, 1, 1, 2)]:
+        for _ in range(2):
+            got = box_indices(list(limits))
+            assert isinstance(got, GeneratorType) and list(got) == list(_box_reference(limits))
+
+
 def test_enumerator_replay_determinism():
     first = list(compositions_bounded(4, 3))
     second = list(compositions_bounded(4, 3))
@@ -211,6 +251,8 @@ def test_enumerator_argument_validation():
         list(compositions_exact(-1, 2))
     with pytest.raises(ValueError):
         list(compositions_exact(2, 0))
+    with pytest.raises(ValueError):
+        list(compositions_bounded(2, 0))
     with pytest.raises(ValueError):
         list(box_indices(()))
     with pytest.raises(ValueError):

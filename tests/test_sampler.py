@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from ellsum import (
@@ -18,6 +19,7 @@ from ellsum import (
     sample_instance,
 )
 from ellsum import sampler
+from ellsum.catalog import Shape
 
 
 def test_sampling_is_deterministic():
@@ -122,7 +124,8 @@ def test_seed_change_does_not_change_verdict():
 def test_bad_shape_fails_before_any_draw(n, N, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew for a bad shape")
-    monkeypatch.setattr(sampler, "_draw", no_draw)
+    for name in ("_draws", "_draw"):  # the block draw of an attempt, and one value
+        monkeypatch.setattr(sampler, name, no_draw)
     with pytest.raises(BalancingError):
         sample_instance("gr-sum", n=n, N=N, config=SampleConfig(), trial_index=0, p=0.2)
     with pytest.raises(BalancingError):
@@ -156,3 +159,44 @@ def test_overflow_is_a_condition_rejection(monkeypatch):
 def test_config_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):
         SampleConfig(**{field: value})
+
+
+def _uniform_draw(rng, lo, hi):
+    """One value drawn with a scalar rng.uniform per uniform."""
+    modulus = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    return complex(modulus * math.cos(phase), modulus * math.sin(phase))
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("ranges", [
+    "attempt",  # q_range, then modulus_range for the free parameters and z
+    ((1e-3, 0.5), (1e-3, 1e3), (0.3, 1.4), (0.2, 0.2)),
+])
+def test_block_draws_equal_scalar_uniform_draws(ranges):
+    config = SampleConfig()
+    if ranges == "attempt":
+        ranges = (config.q_range, *[config.modulus_range] * 11)
+    log_ranges = [(math.log(lo), math.log(hi)) for lo, hi in ranges]
+    for trial in range(1000):
+        def stream():
+            return sampler._rng_for(config, "bt-transform", Shape(4, 2, None), trial, 0.2)
+        block_rng, scalar_rng, single_rng = stream(), stream(), stream()
+        scalar = [_uniform_draw(scalar_rng, lo, hi) for lo, hi in ranges]
+        assert _bits(sampler._draws(block_rng, log_ranges)) == _bits(scalar)
+        assert _bits(sampler._draw(single_rng, lo, hi) for lo, hi in ranges) == _bits(scalar)
+        # and each leaves the stream where the scalar draws leave it
+        assert block_rng.random() == scalar_rng.random() == single_rng.random()
+
+
+def test_entropy_words_hash_like_the_int_list():
+    rng = np.random.default_rng(5)
+    cases = [[0], [0, 0], [2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], [1, 2, 3]]
+    cases += [[int(rng.integers(0, 2 ** 63)) >> int(rng.integers(0, 63))
+               for _ in range(int(rng.integers(1, 10)))] for _ in range(500)]
+    for entropy in cases:
+        assert (np.random.SeedSequence(sampler._words(entropy)).pool
+                == np.random.SeedSequence(entropy).pool).all(), entropy

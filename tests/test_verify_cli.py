@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,17 @@ def test_parallel_run_produces_identical_report():
     serial = _strip_timing(run_job(job, jobs=1))
     parallel = _strip_timing(run_job(job, jobs=2))
     assert serial == parallel
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # run_job imports it only for a parallel run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ellsum; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_report_structure():
