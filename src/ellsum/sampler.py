@@ -100,19 +100,7 @@ def _rng_for(config: SampleConfig, identity_id: str, shape: Shape, trial_index: 
         _float_bits(complex(p).imag),
         *shape.level_code,
     ]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_words(entropy))))
-
-
-def _words(entropy: list[int]) -> np.ndarray:
-    """The uint32 words SeedSequence hashes for a list of ints: each int's
-    32-bit words, least significant first, and one word for 0.  Passing them
-    as one array skips its conversion of each int, about 7 us a trial."""
-    words = []
-    for value in entropy:
-        words.append(value & 0xFFFFFFFF)
-        while value := value >> 32:
-            words.append(value & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 _TWO_PI = 2.0 * math.pi
@@ -135,7 +123,7 @@ def _draws(rng: np.random.Generator, log_ranges) -> list[complex]:
 
 def _draw(rng: np.random.Generator, lo: float, hi: float) -> complex:
     """Log-uniform modulus in [lo, hi], uniform phase."""
-    return _polar(math.log(lo), math.log(hi), *rng.random(2).tolist())
+    return _draws(rng, [(math.log(lo), math.log(hi))])[0]
 
 
 @lru_cache(maxsize=64)

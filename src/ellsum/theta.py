@@ -139,7 +139,7 @@ def theta(z, nome: EllipticNome):
     inv_z = 1.0 / z
     result = complex(1.0)
     pj = complex(1.0)
-    for _ in range(_factor_counts(abs(z), nome)):
+    for _ in range(int(_factor_counts(abs(z), nome))):
         result *= (1.0 - pj * z) * (1.0 - pj * p * inv_z)
         pj *= p
     if not cmath.isfinite(result):
@@ -150,24 +150,13 @@ def theta(z, nome: EllipticNome):
 def _factor_counts(abs_z, nome: EllipticNome):
     """How many factors (1 - p^j z)(1 - p^(j+1)/z) the product multiplies for
     |z| = abs_z, a float or an array: j runs while |p^j z| or |p^(j+1)/z| is
-    at least the cutoff.  Raises TruncationBudgetError past max_terms.
-
-    A float |z| takes numpy's log, as an array does (math.log differs from it
-    in the last bit on about 1 argument in 10^4), and Python's float
-    arithmetic for the rest, which is the same IEEE arithmetic as numpy's, so
-    both give the same count for the same |z|."""
+    at least the cutoff.  Raises TruncationBudgetError past max_terms."""
+    log_z = np.log(abs_z)
     log_cut, log_inv_p = math.log(nome.truncation.cutoff), -math.log(abs(nome.p))
     # the larger reach is at least -log_cut / log_inv_p - 1/2 > -1/2, so >= 0
-    if isinstance(abs_z, float):
-        log_z = float(np.log(abs_z))
-        counts = top = math.floor(max(log_z - log_cut, -log_z - log_cut - log_inv_p)
-                                  / log_inv_p) + 1
-    else:
-        log_z = np.log(abs_z)
-        counts = np.floor(np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p)
-                          / log_inv_p) + 1
-        top = counts.max()
-    if not top < nome.truncation.max_terms:  # NaN fails too
+    counts = np.floor(np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p)
+                      / log_inv_p) + 1
+    if not counts.max() < nome.truncation.max_terms:  # NaN fails too
         raise TruncationBudgetError(
             f"theta product needs more than {nome.truncation.max_terms} factors "
             f"(|p| = {abs(nome.p):.6g}, |z| up to {np.max(abs_z):.6g})")

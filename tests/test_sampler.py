@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from ellsum import (
@@ -124,12 +123,17 @@ def test_seed_change_does_not_change_verdict():
 def test_bad_shape_fails_before_any_draw(n, N, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew for a bad shape")
-    for name in ("_draws", "_draw"):  # the block draw of an attempt, and one value
-        monkeypatch.setattr(sampler, name, no_draw)
+    monkeypatch.setattr(sampler, "_draws", no_draw)
     with pytest.raises(BalancingError):
         sample_instance("gr-sum", n=n, N=N, config=SampleConfig(), trial_index=0, p=0.2)
     with pytest.raises(BalancingError):
         rejection_report("gr-sum", n=n, N=N, config=SampleConfig(), count=3, p=0.2)
+
+
+def test_negative_trial_index_raises():
+    # SeedSequence entropy must be non-negative
+    with pytest.raises(ValueError):
+        sample_instance("gr-sum", n=2, N=1, config=SampleConfig(), trial_index=-1, p=0.2)
 
 
 def test_p_near_one_raises_truncation_budget_error():
@@ -190,13 +194,3 @@ def test_block_draws_equal_scalar_uniform_draws(ranges):
         assert _bits(sampler._draw(single_rng, lo, hi) for lo, hi in ranges) == _bits(scalar)
         # and each leaves the stream where the scalar draws leave it
         assert block_rng.random() == scalar_rng.random() == single_rng.random()
-
-
-def test_entropy_words_hash_like_the_int_list():
-    rng = np.random.default_rng(5)
-    cases = [[0], [0, 0], [2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], [1, 2, 3]]
-    cases += [[int(rng.integers(0, 2 ** 63)) >> int(rng.integers(0, 63))
-               for _ in range(int(rng.integers(1, 10)))] for _ in range(500)]
-    for entropy in cases:
-        assert (np.random.SeedSequence(sampler._words(entropy)).pool
-                == np.random.SeedSequence(entropy).pool).all(), entropy

@@ -143,37 +143,6 @@ def test_theta_non_finite_argument_raises_non_finite_error(bad, p):
         theta(np.array([0.7, bad]), nome(p))
 
 
-def _floor_boundaries(p, reach=60):
-    """|z| within `reach` ulps of each point where the scalar factor count
-    steps, for counts 1 .. 399."""
-    log_cut, log_inv_p = math.log(nome(p).truncation.cutoff), -math.log(abs(p))
-    out = []
-    for k in range(1, 400):
-        for log_z in (k * log_inv_p + log_cut, -(k + 1) * log_inv_p - log_cut):
-            if abs(log_z) < 700:
-                lo = hi = math.exp(log_z)
-                for _ in range(reach):
-                    lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
-                    out += [lo, hi]
-    return out
-
-
-# |z| at which a count from math.log instead of numpy's log is off by one
-LOG_SENSITIVE = {0.2 + 0.1j: [2.1324805998800894e-75],
-                 0.5: [6710.886399999944, 6.681911775230633e-48],
-                 0.7: [3.869156879884923e+49]}
-
-
-@pytest.mark.parametrize("p", [0.05, 0.2 + 0.1j, 0.5, 0.7])
-def test_scalar_factor_count_matches_batched(p):
-    # bit for bit, on a random sample and around every step of the count
-    rng = np.random.default_rng(11)
-    points = np.exp(rng.uniform(-50, 50, 20_000)).tolist() + _floor_boundaries(p)
-    points += LOG_SENSITIVE.get(p, [])
-    batched = _factor_counts(np.array(points), nome(p)).tolist()
-    assert [_factor_counts(a, nome(p)) for a in points] == batched
-
-
 def test_theta_batch_zero_argument_rejected():
     with pytest.raises(ThetaDomainError):
         theta(np.array([0.5, 0.0]), nome(0.2))
