@@ -11,7 +11,12 @@ Trial evaluation is embarrassingly parallel.  The ELLSUM_JOBS environment
 variable sets the default number of worker processes (1 = in-process; a
 value that is not an integer >= 1 is a ValueError); the report bytes do not
 depend on the degree.  The process pool is imported only by a run that uses
-one.
+one, and it is sent the cells in about four chunks per worker.
+
+report_to_json writes the report text in one pass, each trial and cell
+record from one format string; its bytes equal
+json.dumps(report_to_dict(report), indent=2), and report_to_dict parses
+that text back.
 
 Each grid point (n, N) is resolved to an index shape by CatalogEntry.shape.
 Box limits for the box-arity identity come from spreading N over n
@@ -26,7 +31,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any
 
 from ._version import __version__
 from .catalog import IDENTITY_IDS, IdentityInstance, catalog_entry
@@ -175,8 +179,12 @@ def run_job(job: VerificationJob, *, jobs: int | None = None) -> VerificationRep
     if degree > 1 and len(cells) > 1:
         # imported here: the process pool machinery is a third of `import ellsum`
         from concurrent.futures import ProcessPoolExecutor
+        # about four chunks per worker: one round trip per cell, each
+        # carrying the pickled job, cost more than the cells of a short job
+        chunksize = max(1, len(cells) // (4 * degree))
         with ProcessPoolExecutor(max_workers=degree) as pool:
-            timed = list(pool.map(_cell_worker, [(job, c) for c in cells]))
+            timed = list(pool.map(_cell_worker, [(job, c) for c in cells],
+                                  chunksize=chunksize))
     else:
         timed = [_cell_worker((job, cell)) for cell in cells]
     per_cell = [results for results, _ in timed]
@@ -221,6 +229,108 @@ def run_job(job: VerificationJob, *, jobs: int | None = None) -> VerificationRep
 # Serialization
 # ---------------------------------------------------------------------------
 
+# Trial and cell records are each written from one format string; the job
+# echo, `timing` and a failing trial's instance go through json.dumps.
+# Strings are quoted and numbers written as json writes them, and every
+# object and list is laid out with json's indent of 2.  (Before Python 3.13,
+# json.dumps with an indent runs the pure-Python encoder, which costs about
+# three times as much per record.)
+
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The report's members are indented by 2 spaces.  A record sits at depth 2
+# (report -> list -> record): its members are indented by 6 spaces, and the
+# members of its objects and lists by 8.
+_TOP = "\n  "
+_MEMBER = "\n      "
+_INNER = "\n        "
+
+
+def _num(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _num_or_null(value: float | None) -> str:
+    return "null" if value is None else _num(value)
+
+
+def _int_or_null(value: int | None) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+def _complex_text(re: float, im: float) -> str:
+    return f'{{{_INNER}"re": {_num(re)},{_INNER}"im": {_num(im)}{_MEMBER}}}'
+
+
+def _nested(value, indent: str) -> str:
+    """A job echo, instance or timing object, laid out at `indent`."""
+    return json.dumps(value, indent=2).replace("\n", indent)
+
+
+def _head(identity: str, n: int | None, N, p_re: float, p_im: float) -> str:
+    """A record's opening brace and its identity, n, N and p members; N is
+    an int, None or the list of box limits."""
+    if isinstance(N, list):
+        N = "[" + ",".join(_INNER + int.__repr__(k) for k in N) + _MEMBER + "]"
+    else:
+        N = _int_or_null(N)
+    return (f'{{{_MEMBER}"identity": {_quote(identity)},{_MEMBER}"n": {_int_or_null(n)},'
+            f'{_MEMBER}"N": {N},{_MEMBER}"p": {_complex_text(p_re, p_im)},')
+
+
+def _histogram(items: tuple) -> str:
+    if not items:
+        return "{}"
+    return ("{" + ",".join(f"{_INNER}{_quote(reason)}: {int.__repr__(count)}"
+                           for reason, count in items) + _MEMBER + "}")
+
+
+def _cell_text(cell: dict) -> str:
+    p = cell["p"]
+    return (f'{_head(cell["identity"], cell["n"], cell["N"], p["re"], p["im"])}'
+            f'{_MEMBER}"trials": {int.__repr__(cell["trials"])},'
+            f'{_MEMBER}"passes": {int.__repr__(cell["passes"])},'
+            f'{_MEMBER}"max_relative_error": {_num_or_null(cell["max_relative_error"])},'
+            f'{_MEMBER}"median_relative_error": {_num_or_null(cell["median_relative_error"])},'
+            f'{_MEMBER}"max_condition_ratio": {_num_or_null(cell["max_condition_ratio"])},'
+            f'{_MEMBER}"rejections": {_histogram(tuple(cell["rejections"].items()))}'
+            "\n    }")
+
+
+def _trial_texts(trials: list[TrialResult]):
+    """Each trial's record; the head is written once per cell and the
+    rejections once per histogram."""
+    cell = None
+    histograms: dict[tuple, str] = {}
+    for r in trials:
+        # a cell's trials are consecutive, and no two of run_job's cells
+        # have equal keys
+        if cell != (r.identity_id, r.n, r.N, r.box, r.p):
+            cell = (r.identity_id, r.n, r.N, r.box, r.p)
+            head = _head(r.identity_id, r.n, r.N if r.box is None else list(r.box),
+                         r.p.real, r.p.imag)
+        counts = tuple(r.rejections.items())
+        histogram = histograms.get(counts)
+        if histogram is None:
+            histogram = histograms[counts] = _histogram(counts)
+        text = (f'{head}{_MEMBER}"trial": {int.__repr__(r.trial_index)},'
+                f'{_MEMBER}"status": {_quote(r.status)},')
+        if r.status != "resample-exhausted":
+            lhs, rhs = r.lhs, r.rhs
+            text += (f'{_MEMBER}"lhs": {_complex_text(lhs.real, lhs.imag)},'
+                     f'{_MEMBER}"rhs": {_complex_text(rhs.real, rhs.imag)},'
+                     f'{_MEMBER}"relative_error": {_num(r.relative_error)},'
+                     f'{_MEMBER}"condition_ratio": {_num(r.condition_ratio)},')
+        text += f'{_MEMBER}"rejections": {histogram}'
+        if r.instance is not None:
+            text += f',{_MEMBER}"instance": {_nested(_instance_json(r.instance), _MEMBER)}'
+        yield text + "\n    }"
+
+
+def _records(texts) -> str:
+    return "[\n    " + ",\n    ".join(texts) + "\n  ]"
+
 
 def _complex_json(value: complex) -> dict:
     value = complex(value)
@@ -258,52 +368,33 @@ def _instance_json(instance: IdentityInstance) -> dict:
     }
 
 
-def _trial_json(result: TrialResult) -> dict:
-    out: dict[str, Any] = {
-        "identity": result.identity_id,
-        "n": result.n,
-        "N": list(result.box) if result.box is not None else result.N,
-        "p": _complex_json(result.p),
-        "trial": result.trial_index,
-        "status": result.status,
-    }
-    if result.status != "resample-exhausted":
-        out.update({
-            "lhs": _complex_json(result.lhs),
-            "rhs": _complex_json(result.rhs),
-            "relative_error": result.relative_error,
-            "condition_ratio": result.condition_ratio,
-        })
-    out["rejections"] = dict(result.rejections)
-    if result.instance is not None:
-        out["instance"] = _instance_json(result.instance)
-    return out
-
-
-def report_to_dict(report: VerificationReport) -> dict:
-    job = report.job
+def _job_json(job: VerificationJob) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "job": {
-            "identities": list(job.identities),
-            "n_values": list(job.n_values),
-            "N_values": list(job.N_values),
-            "trials": job.trials,
-            "tolerance": job.tolerance,
-            "format": job.output_format,
-            "sample_config": _config_json(job.config),
-        },
-        "cells": report.cells,
-        "trials": [_trial_json(r) for r in report.trials],
-        "verdict": report.verdict,
-        "timing": report.timing,
+        "identities": list(job.identities),
+        "n_values": list(job.n_values),
+        "N_values": list(job.N_values),
+        "trials": job.trials,
+        "tolerance": job.tolerance,
+        "format": job.output_format,
+        "sample_config": _config_json(job.config),
     }
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    """The report as JSON text; the bytes equal
+    json.dumps(report_to_dict(report), indent=2)."""
+    return (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "tool": {_quote(TOOL_NAME)},'
+            f'\n  "version": {_quote(__version__)},'
+            f'\n  "job": {_nested(_job_json(report.job), _TOP)},'
+            f'\n  "cells": {_records(map(_cell_text, report.cells))},'
+            f'\n  "trials": {_records(_trial_texts(report.trials))},'
+            f'\n  "verdict": {_quote(report.verdict)},'
+            f'\n  "timing": {_nested(report.timing, _TOP)}\n}}')
+
+
+def report_to_dict(report: VerificationReport) -> dict:
+    """The report as the JSON value report_to_json writes."""
+    return json.loads(report_to_json(report))
 
 
 def report_to_table(report: VerificationReport) -> str:

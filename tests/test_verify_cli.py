@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,8 +20,10 @@ from ellsum import (
     run_bench,
     run_job,
 )
-from ellsum.cli import main as cli_main
+from ellsum import verify as verify_module
+from ellsum._version import __version__
 from ellsum.catalog import spread_box
+from ellsum.cli import main as cli_main
 
 
 def small_job(**kwargs):
@@ -102,6 +105,108 @@ def test_report_structure():
     # timing is segregated in its own sub-object
     assert set(data["timing"]) >= {"started_at", "total_seconds"}
     json.loads(report_to_json(report))  # round-trips as valid JSON
+
+
+def _reference_json(report) -> str:
+    """The report through the stdlib encoder, from records built as dicts:
+    the independent reference for report_to_json's text."""
+    def complex_json(value):
+        return {"re": value.real, "im": value.imag}
+
+    def trial_json(t):
+        out = {"identity": t.identity_id, "n": t.n,
+               "N": list(t.box) if t.box is not None else t.N,
+               "p": complex_json(t.p), "trial": t.trial_index, "status": t.status}
+        if t.status != "resample-exhausted":
+            out.update({"lhs": complex_json(t.lhs), "rhs": complex_json(t.rhs),
+                        "relative_error": t.relative_error,
+                        "condition_ratio": t.condition_ratio})
+        out["rejections"] = dict(t.rejections)
+        if t.instance is not None:
+            out["instance"] = verify_module._instance_json(t.instance)
+        return out
+
+    return json.dumps({
+        "schema_version": 1, "tool": "ellsum", "version": __version__,
+        "job": verify_module._job_json(report.job),
+        "cells": report.cells,
+        "trials": [trial_json(t) for t in report.trials],
+        "verdict": report.verdict,
+        "timing": report.timing,
+    }, indent=2)
+
+
+# Every branch of a record: fail trials that embed their instance,
+# resample-exhausted trials, n and N null (frenkel-turaev, theta-lemma),
+# a box N (rs-jackson), a complex and a negative p.
+BRANCH_JOB = VerificationJob(
+    identities=("frenkel-turaev", "rs-jackson", "theta-lemma", "gr-sum"),
+    n_values=(2,), N_values=(1,), trials=3, tolerance=0.0,
+    config=SampleConfig(seed=5, p_values=(0.1 + 0.05j, -0.3), max_resamples=1,
+                        min_z_separation=0.5))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_report_text_equals_the_stdlib_encoding(jobs):
+    report = run_job(BRANCH_JOB, jobs=jobs)
+    text = report_to_json(report)
+    assert text == _reference_json(report)
+    assert text == json.dumps(report_to_dict(report), indent=2)
+    statuses = [t.status for t in report.trials]
+    assert statuses.count("fail") >= 1 and statuses.count("resample-exhausted") >= 1
+    assert all((t.instance is not None) == (t.status == "fail") for t in report.trials)
+    assert {t.n for t in report.trials} == {None, 2}
+    assert None in {t.N for t in report.trials}
+    assert any(t.box is not None for t in report.trials)
+
+
+def test_report_text_writes_non_finite_numbers_as_json_does():
+    job = small_job(identities=("gr-sum",), n_values=(2,), N_values=(1,), trials=2,
+                    config=SampleConfig(seed=5, condition_cap=float("inf")))
+    report = run_job(job)
+    assert '"condition_cap": Infinity' in report_to_json(report)
+    assert report_to_json(report) == _reference_json(report)
+    # and in the records, which report_to_json writes itself
+    inf, nan = float("inf"), float("nan")
+    trial = dataclasses.replace(report.trials[0], status="fail", lhs=complex(-inf, -0.0),
+                                rhs=complex(nan, 1e-300), relative_error=nan,
+                                condition_ratio=inf)
+    cell = {**report.cells[0], "max_relative_error": nan, "median_relative_error": None,
+            "max_condition_ratio": -inf}
+    report = dataclasses.replace(report, cells=[cell], trials=[trial, *report.trials[1:]])
+    text = report_to_json(report)
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+    assert text == _reference_json(report)
+
+
+def test_report_serialization_stays_off_the_pure_python_encoder_per_trial(monkeypatch):
+    # json.dumps with an indent runs json.encoder's pure-Python encoder
+    # (before Python 3.13; made so here on every version); count the chunks
+    # it yields for one and for 25 trials of the same cells
+    chunks = [0]
+    make_iterencode = json.encoder._make_iterencode
+
+    def counting(*args, **kwargs):
+        encode = make_iterencode(*args, **kwargs)
+
+        def counted(*a, **k):
+            for chunk in encode(*a, **k):
+                chunks[0] += 1
+                yield chunk
+        return counted
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+    counts = []
+    for trials in (1, 25):
+        report = run_job(small_job(identities=("gr-sum", "theta-lemma"), n_values=(2,),
+                                   N_values=(1,), trials=trials,
+                                   config=SampleConfig(seed=42, p_values=(0.0,))))
+        assert report.verdict == "pass"
+        chunks[0] = 0
+        report_to_json(report)
+        counts.append(chunks[0])
+    assert 0 < counts[0] == counts[1]
 
 
 def test_table_format():
