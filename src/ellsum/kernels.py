@@ -15,6 +15,9 @@ equivalent form, delta_ratio_alt, rewrites it through shifted factorials:
 The two agree wherever both are pole-free.  The evaluator calls neither: the
 catalog's factor specs write the ratio out as their _DELTA block.  The two
 forms stay as each other's cross-check in the selftest's ratio suite.
+delta_ratio and the interpolation sides below each take all their thetas
+in one theta call, then check the denominators in the formula's order, so a
+PoleError names the first one that vanishes.
 
 The interpolation identities: a partial-fraction sum
 
@@ -40,6 +43,8 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .errors import BalancingError, PoleError
 from .theta import EllipticNome, elliptic_pochhammer, ipow, theta
 
@@ -53,15 +58,15 @@ def delta_ratio(z: Sequence[complex], x: Sequence[int], nome: EllipticNome) -> c
     if len(z) != len(x):
         raise ValueError(f"dimension mismatch: {len(z)} variables, {len(x)} indices")
     q = nome.q
-    n = len(z)
+    pairs = [(i, j) for i in range(len(z)) for j in range(i + 1, len(z))]
+    ratios = [z[j] / z[i] for i, j in pairs]
+    shifted = [ipow(q, x[j] - x[i]) * ratio for (i, j), ratio in zip(pairs, ratios)]
+    values = theta(np.array(ratios + shifted), nome).tolist()
     result = complex(1.0)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            ratio = z[j] / z[i]
-            den = theta(ratio, nome)
-            if den == 0:
-                raise PoleError(f"theta(z[{j}]/z[{i}])")
-            result *= ipow(q, x[i]) * theta(ipow(q, x[j] - x[i]) * ratio, nome) / den
+    for (i, j), den, num in zip(pairs, values, values[len(pairs):]):
+        if den == 0:
+            raise PoleError(f"theta(z[{j}]/z[{i}])")
+        result *= ipow(q, x[i]) * num / den
     return result
 
 
@@ -115,21 +120,21 @@ def tpf_lhs(zs: Sequence[complex], bs: Sequence[complex], t: complex,
 def _tpf_sum(zs, bs, t, nome) -> tuple[complex, float]:
     """tpf_lhs and the largest modulus of its terms."""
     _check_partial_fraction_balance(zs, bs, t)
+    n = len(zs)
+    # per k: theta(z_k/b_j) for every j, theta(z_k/t), theta(z_k/z_j) for j != k
+    rows = [[zk / b for b in bs] + [zk / t] + [zk / zs[j] for j in range(n) if j != k]
+            for k, zk in enumerate(zs)]
+    values = theta(np.array(rows, dtype=complex).reshape(-1), nome).tolist()
+    width = len(bs) + n
     total = complex(0.0)
     largest = 0.0
-    n = len(zs)
     for k in range(n):
-        zk = zs[k]
-        num = complex(1.0)
-        for b in bs:
-            num *= theta(zk / b, nome)
-        den = theta(zk / t, nome)
+        row = values[k * width:(k + 1) * width]
+        num = math.prod(row[:len(bs)])
+        den = row[len(bs)]
         if den == 0:
             raise PoleError(f"theta(z[{k}]/t)")
-        for j in range(n):
-            if j == k:
-                continue
-            factor = theta(zk / zs[j], nome)
+        for j, factor in zip((j for j in range(n) if j != k), row[len(bs) + 1:]):
             if factor == 0:
                 raise PoleError(f"theta(z[{k}]/z[{j}])")
             den *= factor
@@ -143,27 +148,24 @@ def tpf_rhs(zs: Sequence[complex], bs: Sequence[complex], t: complex,
             nome: EllipticNome) -> complex:
     """Closed product side of the balanced theta interpolation identity."""
     _check_partial_fraction_balance(zs, bs, t)
-    num = complex(1.0)
-    for b in bs:
-        num *= theta(b / t, nome)
-    den = complex(1.0)
-    for z in zs:
-        factor = theta(z / t, nome)
-        if factor == 0:
-            raise PoleError("theta(z[j]/t)")
-        den *= factor
-    return num / den
+    values = theta(np.array([b / t for b in bs] + [z / t for z in zs]), nome).tolist()
+    dens = values[len(bs):]
+    if 0 in dens:
+        raise PoleError("theta(z[j]/t)")
+    return math.prod(values[:len(bs)]) / math.prod(dens)
 
 
 def weierstrass_rhs(f_b: complex, f_c: complex, b: complex, c: complex,
                     w: complex, nome: EllipticNome) -> complex:
     """Two-point interpolation of f(w) = C theta(aw, a/w) from f(b), f(c)."""
-    den_b = theta(c * b, nome) * theta(c / b, nome)
-    den_c = theta(b * c, nome) * theta(b / c, nome)
+    cb, c_b, bc, b_c, cw, c_w, bw, b_w = theta(
+        np.array([c * b, c / b, b * c, b / c, c * w, c / w, b * w, b / w]), nome).tolist()
+    den_b = cb * c_b
+    den_c = bc * b_c
     if den_b == 0 or den_c == 0:
         raise PoleError("theta(bc) or theta(b/c): degenerate interpolation nodes")
-    term_b = f_b * theta(c * w, nome) * theta(c / w, nome) / den_b
-    term_c = f_c * theta(b * w, nome) * theta(b / w, nome) / den_c
+    term_b = f_b * cw * c_w / den_b
+    term_c = f_c * bw * b_w / den_c
     return term_b + term_c
 
 

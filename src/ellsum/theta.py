@@ -22,13 +22,14 @@ multiplies the same factors.
 p = 0 short-circuits to the exact trigonometric value 1 - z and touches
 none of the truncation machinery.
 
-theta also takes a numpy array of arguments and evaluates it in one
-vectorised pass over blocks of the factors (1 - p^j z)(1 - p^{j+1}/z), one
-column per argument.  Each argument stops where its own scalar evaluation
-stops and later factors are exactly 1, so a value does not depend on which
-other arguments share its batch.  A block's tables (the columns p^j and
-p^(j+1) and the row indices j) depend on p alone: they are built on first
-use, by the scalar loop's repeated multiplication, and kept.
+theta evaluates a numpy array of arguments in one vectorised pass over
+blocks of the factors (1 - p^j z)(1 - p^{j+1}/z), one column per argument;
+any other argument is a batch of one, returned as a Python complex.  Each
+argument stops at its own factor count and later factors are exactly 1, so
+a value does not depend on which other arguments share its batch.  A
+block's tables (the columns p^j and p^(j+1) and the row indices j) depend
+on p alone: they are built on first use, by repeated multiplication, and
+kept.  Callers that need several thetas pass them in one array.
 
 A non-finite argument raises NonFiniteError at p != 0 (at p = 0 the value
 1 - z is returned as it is).
@@ -121,32 +122,6 @@ class EllipticNome:
             raise ValueError("q must be nonzero")
 
 
-def theta(z, nome: EllipticNome):
-    """Evaluate theta(z; p) under the nome's truncation policy.
-
-    z is a complex scalar, or an ndarray evaluated elementwise.
-    """
-    if isinstance(z, np.ndarray):
-        return _theta_array(np.asarray(z, dtype=complex), nome)
-    p = nome.p
-    if p == 0:
-        return 1.0 - complex(z)
-    z = complex(z)
-    if z == 0:
-        raise ThetaDomainError("theta(0) is undefined for p != 0")
-    if not cmath.isfinite(z):
-        raise NonFiniteError(f"theta({z}) of a non-finite argument")
-    inv_z = 1.0 / z
-    result = complex(1.0)
-    pj = complex(1.0)
-    for _ in range(int(_factor_counts(abs(z), nome))):
-        result *= (1.0 - pj * z) * (1.0 - pj * p * inv_z)
-        pj *= p
-    if not cmath.isfinite(result):
-        raise NonFiniteError(f"theta({z}) overflowed")
-    return result
-
-
 def _factor_counts(abs_z, nome: EllipticNome):
     """How many factors (1 - p^j z)(1 - p^(j+1)/z) the product multiplies for
     |z| = abs_z, a float or an array: j runs while |p^j z| or |p^(j+1)/z| is
@@ -171,7 +146,7 @@ _BLOCK = 32
 def _block(p: complex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
     """Tables of block k at p: the columns p^j and p^(j+1) and the row
     indices j for j in [k _BLOCK, (k+1) _BLOCK), and p^j of the next row.
-    p^j is built as the scalar loop builds it, continuing block k - 1."""
+    p^j is built by repeated multiplication, continuing block k - 1."""
     pj = complex(1.0) if k == 0 else _block(p, k - 1)[3]
     powers = []
     for _ in range(_BLOCK):
@@ -184,7 +159,15 @@ def _block(p: complex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, comp
     return (*tables, pj)
 
 
-def _theta_array(z: np.ndarray, nome: EllipticNome) -> np.ndarray:
+def theta(z, nome: EllipticNome):
+    """Evaluate theta(z; p) under the nome's truncation policy.
+
+    z is an ndarray, evaluated elementwise, or a complex scalar, evaluated
+    as a batch of one and returned as a Python complex.
+    """
+    if not isinstance(z, np.ndarray):
+        return complex(theta(np.array([z], dtype=complex), nome)[0])
+    z = np.asarray(z, dtype=complex)
     p = nome.p
     if p == 0 or not z.size:
         return 1.0 - z
@@ -223,28 +206,23 @@ def elliptic_pochhammer(z: complex, k: int, nome: EllipticNome) -> complex:
     z = complex(z)
     if z == 0:
         raise ThetaDomainError("(0)_k is undefined")
-    q = nome.q
     if k == 0:
         return complex(1.0)
-    if k > 0:
-        result = complex(1.0)
-        w = z
-        for _ in range(k):
-            result *= theta(w, nome)
-            w *= q
-        if not cmath.isfinite(result):
-            raise NonFiniteError(f"({z})_{k} overflowed")
-        return result
-    # k < 0: reciprocal of theta(q^k z) ... theta(q^{-1} z)
-    denominator = complex(1.0)
-    w = ipow(q, k) * z
-    for j in range(k, 0):
-        factor = theta(w, nome)
-        if factor == 0:
-            raise PochhammerPoleError(z, k, j)
-        denominator *= factor
+    # k > 0: theta(z) ... theta(q^(k-1) z); k < 0: the reciprocal of
+    # theta(q^k z) ... theta(q^-1 z).  One theta call takes every factor.
+    q = nome.q
+    w = z if k > 0 else ipow(q, k) * z
+    arguments = []
+    for _ in range(abs(k)):
+        arguments.append(w)
         w *= q
-    result = 1.0 / denominator
+    factors = theta(np.array(arguments), nome).tolist()
+    if k > 0:
+        result = math.prod(factors)
+    elif 0 in factors:
+        raise PochhammerPoleError(z, k, k + factors.index(0))
+    else:
+        result = 1.0 / math.prod(factors)
     if not cmath.isfinite(result):
         raise NonFiniteError(f"({z})_{k} overflowed")
     return result

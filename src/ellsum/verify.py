@@ -113,10 +113,10 @@ def _cells_of(job: VerificationJob):
 
     Each (n, N) of the grid is resolved by CatalogEntry.shape; grid points
     that resolve to the same shape (the n of a scalar identity, the N of a
-    vector-only one) make one cell, and so does a repeated p.
+    vector-only one) make one cell, and so does a repeated identity or p.
     """
     cells = []
-    for identity_id in sorted(job.identities, key=IDENTITY_IDS.index):
+    for identity_id in sorted(dict.fromkeys(job.identities), key=IDENTITY_IDS.index):
         shape_of = catalog_entry(identity_id).shape
         for shape in dict.fromkeys(shape_of(n, N) for n in job.n_values for N in job.N_values):
             for p in dict.fromkeys(complex(p) for p in job.config.p_values):
@@ -164,7 +164,7 @@ def worker_count(jobs: int | None = None) -> int:
         degree = int(value)
     except ValueError:
         degree = 0
-    if degree < 1:
+    if degree < 1 or (not isinstance(value, str) and degree != value):
         where = JOBS_ENV_VAR if jobs is None else "jobs"
         raise ValueError(f"{where} must be an integer >= 1, got {value!r}")
     return degree

@@ -211,9 +211,10 @@ def test_bt_lhs_invariant_under_c_e_swap():
 
 
 def _reference_side(side, inst) -> tuple[complex, float]:
-    """(sum, max |term|) of the side term by term, every factor from the
-    scalar theta and elliptic_pochhammer: no plan, table, batch or exponent
-    bookkeeping."""
+    """(sum, max |term|) of the side term by term, every factor from its own
+    theta or elliptic_pochhammer call: no plan, table, gather or exponent
+    bookkeeping.  theta itself is the planner's (one product for scalars
+    and batches); test_theta checks it against mpmath."""
     nome = inst.nome
     n = len(inst.z) if inst.z is not None else 1
     symbols = {name: k for k, name in enumerate(_symbol_names(inst))}

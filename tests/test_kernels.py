@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ellsum import (
     BalancingError,
     EllipticNome,
+    PoleError,
     box_indices,
     compositions_bounded,
     compositions_exact,
@@ -109,6 +110,22 @@ def test_tpf_needs_one_extra_b():
         tpf_lhs((0.8, 0.9), (0.5, 1.3), 0.9, nome(0.1))
 
 
+# A denominator theta(1) = 0: z_1/z_0 = 1 for delta_ratio, and z_0 = t
+# (with b balanced) for the interpolation pair.
+POLE_TPF = ((0.9, 0.6), (0.5, 1.3, 0.9 * 0.9 * 0.6 / (0.5 * 1.3)), 0.9)
+
+
+@pytest.mark.parametrize("kernel, args, description", [
+    (delta_ratio, ((0.7, 0.7), (1, 0)), "theta(z[1]/z[0])"),
+    (tpf_lhs, POLE_TPF, "theta(z[0]/t)"),
+    (tpf_rhs, POLE_TPF, "theta(z[j]/t)"),
+], ids=["delta_ratio", "tpf_lhs", "tpf_rhs"])
+def test_kernel_pole_names_the_factor(kernel, args, description):
+    with pytest.raises(PoleError) as excinfo:
+        kernel(*args, nome(0.2))
+    assert excinfo.value.description == description
+
+
 def test_tpf_random_balanced_instances():
     result = check_balanced_sum(120, seed=5)
     assert result.passed, result.line()
@@ -138,8 +155,6 @@ def test_weierstrass_reproduces_function():
 
 
 def test_weierstrass_degenerate_nodes():
-    from ellsum import PoleError
-
     n = nome(0.2, 0.5)
     with pytest.raises(PoleError):
         weierstrass_rhs(1.0, 1.0, 0.8, 1.0 / 0.8, 0.9, n)  # theta(bc) = theta(1) = 0

@@ -224,13 +224,15 @@ def test_resample_exhaustion_fails_report():
 
 
 def test_repeated_grid_values_make_one_cell():
-    # a repeated n, N or p is the same cell, not a second copy of it
+    # a repeated identity, n, N or p is the same cell, not a second copy of it
     once = run_job(small_job(identities=("gr-sum",), n_values=(1,), N_values=(1,),
                              config=SampleConfig(seed=5, p_values=(0.2,))))
-    twice = run_job(small_job(identities=("gr-sum",), n_values=(1, 1), N_values=(1, 1),
+    twice = run_job(small_job(identities=("gr-sum", "gr-sum"), n_values=(1, 1),
+                              N_values=(1, 1),
                               config=SampleConfig(seed=5, p_values=(0.2, 0.2))))
     assert len(twice.cells) == 1 and len(twice.trials) == 3
     assert twice.cells == once.cells and twice.trials == once.trials
+    assert twice.job.identities == ("gr-sum", "gr-sum")  # echoed as given
 
 
 def test_spread_box():
@@ -398,6 +400,14 @@ def test_cli_bad_worker_count_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("ELLSUM_JOBS", "abc")
     assert cli_main(args) == 2
     assert "ELLSUM_JOBS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1.5, 2.9, 0.5])
+def test_non_integral_worker_count_rejected(jobs):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        verify_module.worker_count(jobs)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        run_job(small_job(), jobs=jobs)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
