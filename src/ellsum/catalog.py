@@ -1,11 +1,15 @@
-"""Registry of the eleven summation/transformation identities.
+"""Registry of the eleven summation/transformation identities, written in
+one factor language that this module documents and reads.
 
 Each catalog entry records the identity's arity (scalar truncation level N,
 z-vector with scalar N, z-vector with per-coordinate box limits, or z-vector
-only), its scalar parameter names in a fixed order, and its balancing
-constraint(s) as monomial equations
+only), its scalar parameter names in a fixed order, its balancing
+constraint(s) and its two sides, so one _register call shows the constraint
+next to both sides.  catalog_entry is the one lookup of an id.
 
-    prod_k param_k^{e_k} * q^(alpha*N + beta) * Z^w = 1,      Z = z_1...z_n.
+A constraint is display text, an equation between products of powers:
+
+    a^2 q^(N+1) = b c d e Z^2,     Z = z_1...z_n, N (or |N|) the level.
 
 Exactly one parameter per constraint is dependent: the one the constraint
 names (b4, e, g, h; general-jackson's f g h Z^2 = t solves h, not the
@@ -14,9 +18,18 @@ solves it in closed form.  Instances recompute every derived quantity (Z,
 the Bailey-shift lambda, constraint residuals) from their stored
 parameters rather than trusting caller input.
 
-An entry also holds its two sides, each a summation domain and a list of
-factor strings (see evaluate for the language), so one _register call shows
-the constraint next to both sides.  catalog_entry is the one lookup of an id.
+A side is a summation domain (a key of evaluate.DOMAINS) and a list of
+factor strings, with parity branches where the closed form depends on
+n mod 2.  A factor string reads
+
+    [1/]theta(B1, B2; S)    theta(B q^S) for each base B (S = 0 if omitted)
+    [1/](B1, B2)_S          the shifted factorial (B)_S with step q
+    [1/](B)^S               the monomial B^S
+    ... for i | i<j | i!=j | i,j    a product over z indices
+
+where a base is a monomial in the parameters, q, Z, lam and z_i, z_j
+("a q^(N+1) / e z_i") and a shift an integer form in |x|, x_i, x_j, N, N_i,
+N_j ("|x|-x_i", "x_i*x_j").
 
 The arity decides the index shape an instance carries, and only
 CatalogEntry.shape decides it: it maps a request (n, N, box) to the Shape
@@ -31,8 +44,10 @@ the order the CLI lists them (`ellsum list` prints each constraint).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Mapping, NamedTuple
 
 from .errors import BalancingError
@@ -48,15 +63,95 @@ VECTOR_BOX = "vector-box"  # z-vector plus per-coordinate limits N_1..N_n
 VECTOR_ONLY = "vector-only"  # z-vector, no truncation level
 
 
+# The reader of the factor language (see the module docstring).
+
+
+@dataclass(frozen=True)
+class Factor:
+    kind: str  # "theta", "poch" or "pow"
+    base: str
+    shift: str
+    den: bool
+    over: str  # "", "i", "i<j", "i!=j" or "i,j"
+
+    def label(self, env) -> str:
+        text = {"theta": "theta({0}; {1})", "poch": "({0})_({1})", "pow": "({0})^({1})"}
+        return _bind(text[self.kind].format(self.base, self.shift), env)
+
+
+_FACTOR = r"(1/)?(theta)?\((.*)\)([_^]?)(\S*)(?: for (\S+))?$"
+_TOKEN = r"([A-Za-z]\w*)(?:\^\(?([^)\s]+)\)?)?"
+_TERM = r"([+-]?)(\d*)([^+-]*)"
+
+
+def _bind(text: str, env: dict) -> str:
+    """Substitute the bound z indices: 'z_i / z_j' -> 'z_2 / z_0'."""
+    return re.sub(r"_([ij])\b", lambda m: f"_{env[m.group(1)]}", text)
+
+
+def _parse(text: str) -> list[Factor]:
+    den, is_theta, inner, mark, shift, over = re.match(_FACTOR, text).groups()
+    kind = "theta" if is_theta else "poch" if mark == "_" else "pow"
+    if is_theta:
+        inner, _, shift = inner.partition("; ")
+    return [Factor(kind, base.strip(), shift or "0", bool(den), over or "")
+            for base in inner.split(",")]
+
+
+def _form(text: str, env: dict):
+    """Value of an integer form such as 'N+1-N_i' or 'x_i*x_j' (ints or arrays)."""
+    total = 0
+    for sign, coefficient, names in re.findall(_TERM, text):
+        if not (coefficient or names):
+            continue
+        value = -int(coefficient or 1) if sign == "-" else int(coefficient or 1)
+        for name in filter(None, names.split("*")):
+            value = value * env[name]
+        total = total + value
+    return total
+
+
+def _monomial(text: str, env: dict) -> dict[str, int]:
+    """{name: exponent} of a base such as 'a q^(N+1) / e z_i', z indices bound."""
+    out: dict[str, int] = {}
+    numerator, _, denominator = text.partition("/")
+    for sign, part in ((1, numerator), (-1, denominator)):
+        for name, power in re.findall(_TOKEN, part):
+            key = _bind(name, env)
+            out[key] = out.get(key, 0) + sign * (_form(power, env) if power else 1)
+    return {k: e for k, e in out.items() if e}
+
+
+def _bindings(over: str, n: int) -> list[dict]:
+    if not over:
+        return [{}]
+    if over == "i":
+        return [{"i": i} for i in range(n)]
+    keep = {"i<j": int.__lt__, "i!=j": int.__ne__, "i,j": lambda i, j: True}[over]
+    return [{"i": i, "j": j} for i, j in product(range(n), repeat=2) if keep(i, j)]
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """One monomial balancing equation prod p^e * q^(aN+b) * Z^w = 1."""
+    """One balancing equation as display text, "a^2 q^(N+1) = b c d e Z^2",
+    and the parameter it solves.  The text is read once, here, into the
+    equation prod p^e * q^(q_n_coeff N + q_const) * Z^z_power = 1, with
+    exponents ((p, e), ...) in the order the text names them and
+    dependent_exponent the dependent's e (1 or -1 when solvable)."""
 
-    exponents: tuple[tuple[str, int], ...]
-    q_n_coeff: int
-    q_const: int
-    z_power: int
+    text: str
     dependent: str
+
+    def __post_init__(self):
+        # read at levels 0 and 1: only q's exponent may depend on the level
+        at = [_monomial(self.text.replace("=", "/"), {"N": k, "|N|": k}) for k in (0, 1)]
+        q = [monomial.pop("q", 0) for monomial in at]
+        if at[0] != at[1]:
+            raise ValueError(f"{self.text!r}: only q's exponent may depend on N")
+        z_power = at[0].pop("Z", 0)
+        self.__dict__.update(exponents=tuple(at[0].items()), q_n_coeff=q[1] - q[0],
+                             q_const=q[0], z_power=z_power,
+                             dependent_exponent=at[0][self.dependent])
 
     def monomial(self, params: Mapping[str, complex], q: complex,
                  n_level: int, Z: complex) -> complex:
@@ -68,17 +163,12 @@ class Constraint:
             value *= ipow(params[name], exponent)
         return value
 
-    @cached_property
-    def dependent_exponent(self) -> int:
-        """The exponent the dependent enters with (1 or -1 when solvable)."""
-        return dict(self.exponents)[self.dependent]
-
 
 @dataclass(frozen=True)
 class Side:
     """One side of an identity: a summation domain (a key of
     evaluate.DOMAINS) and its factor strings, common to every n or only for
-    odd or even n.  evaluate reads the factor-string language."""
+    odd or even n, in the factor language this module documents and reads."""
 
     domain: str
     common: tuple[str, ...]
@@ -125,9 +215,12 @@ class CatalogEntry:
     arity: str
     params: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    constraint_text: str
     sides: tuple[Side, Side]  # (left, right)
     lambda_rule: str | None = None  # "bcd" or "bde": lambda = a^2 q / (...)
+
+    @property
+    def constraint_text(self) -> str:
+        return "  and  ".join(constraint.text for constraint in self.constraints)
 
     @cached_property
     def dependents(self) -> tuple[str, ...]:
@@ -163,15 +256,6 @@ class CatalogEntry:
                      None if arity == VECTOR_ONLY else N, None)
 
 
-def _exps(encoded: str) -> tuple[tuple[str, int], ...]:
-    """Parse e.g. 'a:2 b:-1 c:-1' into exponent pairs."""
-    out = []
-    for token in encoded.split():
-        name, _, exp = token.partition(":")
-        out.append((name, int(exp)))
-    return tuple(out)
-
-
 # Blocks several sides share: the A-type theta-Vandermonde ratio
 # prod_{i<j} q^{x_i} theta(q^{x_j-x_i} z_j/z_i) / theta(z_j/z_i), the pair and
 # cross factors, and the well-poised parts in a, a z_i and lam.
@@ -198,8 +282,7 @@ _register(CatalogEntry(
     label="one-variable elliptic Jackson summation",
     arity=SCALAR_N,
     params=("a", "b", "c", "d", "e"),
-    constraints=(Constraint(_exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),),
-    constraint_text="a^2 q^(N+1) = b c d e",
+    constraints=(Constraint("a^2 q^(N+1) = b c d e", "e"),),
     sides=(
         Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, q^(-N))_|x|",
                               "1/(q, a q / b, a q / c, a q / d, a q / e, a q^(N+1))_|x|")),
@@ -211,9 +294,7 @@ _register(CatalogEntry(
     label="one-variable elliptic Bailey transformation",
     arity=SCALAR_N,
     params=("a", "b", "c", "d", "e", "f", "g"),
-    constraints=(Constraint(
-        _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, 0, "g"),),
-    constraint_text="a^3 q^(N+2) = b c d e f g",
+    constraints=(Constraint("a^3 q^(N+2) = b c d e f g", "g"),),
     lambda_rule="bcd",
     sides=(
         Side("0<=x<=N", (*_WELL_POISED, "(a, b, c, d, e, f, g, q^(-N))_|x|",
@@ -233,8 +314,7 @@ _register(CatalogEntry(
     label="multivariable Jackson summation over a box of indices",
     arity=VECTOR_BOX,
     params=("a", "b", "c", "d", "e"),
-    constraints=(Constraint(_exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),),
-    constraint_text="a^2 q^(|N|+1) = b c d e",
+    constraints=(Constraint("a^2 q^(|N|+1) = b c d e", "e"),),
     sides=(
         Side("x<=N_i", (
             *_DELTA, *_WELL_POISED, "(a, b, c)_|x|", "(d / z_i)_|x| for i",
@@ -253,8 +333,7 @@ _register(CatalogEntry(
     label="n-point theta function identity",
     arity=VECTOR_ONLY,
     params=("b1", "b2", "b3", "b4"),
-    constraints=(Constraint(_exps("b1:1 b2:1 b3:1 b4:1"), 0, 0, 2, "b4"),),
-    constraint_text="b1 b2 b3 b4 Z^2 = 1",
+    constraints=(Constraint("b1 b2 b3 b4 Z^2 = 1", "b4"),),
     sides=(
         # x is a unit vector e_k, so (B)_x_i is theta(B) at i = k and 1 elsewhere.
         Side("|x|=1", ("(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
@@ -269,8 +348,7 @@ _register(CatalogEntry(
     label="Gustafson-Rakha-type summation over |x| = N",
     arity=VECTOR_N,
     params=("b1", "b2", "b3", "b4"),
-    constraints=(Constraint(_exps("b1:1 b2:1 b3:1 b4:1"), 1, -1, 2, "b4"),),
-    constraint_text="q^(N-1) b1 b2 b3 b4 Z^2 = 1",
+    constraints=(Constraint("q^(N-1) b1 b2 b3 b4 Z^2 = 1", "b4"),),
     sides=(
         Side("|x|=N", (*_DELTA, "(q)^x_i*x_j for i<j", *_PAIR,
                              "(z_i b1, z_i b2, z_i b3, z_i b4)_x_i for i", "(z_i)^-x_i for i",
@@ -285,9 +363,7 @@ _register(CatalogEntry(
     label="Gustafson-Rakha-type summation over |x| <= N",
     arity=VECTOR_N,
     params=("a", "b1", "b2", "b3", "b4"),
-    constraints=(Constraint(
-        _exps("a:2 b1:-1 b2:-1 b3:-1 b4:-1"), 1, 1, -2, "b4"),),
-    constraint_text="a^2 q^(N+1) = b1 b2 b3 b4 Z^2",
+    constraints=(Constraint("a^2 q^(N+1) = b1 b2 b3 b4 Z^2", "b4"),),
     sides=(
         Side("|x|<=N", (
             *_DELTA, *_A_Z, *_PAIR, "(q^(-N))_|x|",
@@ -306,9 +382,7 @@ _register(CatalogEntry(
     label="multivariable Bailey transformation (lambda = a^2 q/bcd)",
     arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "f", "g"),
-    constraints=(Constraint(
-        _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g"),),
-    constraint_text="a^3 q^(N+2) = b c d e f g Z^2",
+    constraints=(Constraint("a^3 q^(N+2) = b c d e f g Z^2", "g"),),
     lambda_rule="bcd",
     sides=(
         Side("|x|<=N", (
@@ -334,9 +408,7 @@ _register(CatalogEntry(
     label="multivariable Bailey transformation (lambda = a^2 q/bde)",
     arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "f", "g"),
-    constraints=(Constraint(
-        _exps("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g"),),
-    constraint_text="a^3 q^(N+2) = b c d e f g Z^2",
+    constraints=(Constraint("a^3 q^(N+2) = b c d e f g Z^2", "g"),),
     lambda_rule="bde",
     sides=(
         Side("|x|<=N", (
@@ -364,9 +436,7 @@ _register(CatalogEntry(
     label="inverted multivariable Jackson summation",
     arity=VECTOR_N,
     params=("a", "b", "c", "d", "e"),
-    constraints=(Constraint(
-        _exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e"),),
-    constraint_text="a^2 q^(N+1) = b c d e Z^2",
+    constraints=(Constraint("a^2 q^(N+1) = b c d e Z^2", "e"),),
     sides=(
         Side("|x|<=N", (
             *_DELTA, *_WELL_POISED, *_PAIR, "1/(e / z_i)_|x|-x_i for i", "(a, q^(-N))_|x|",
@@ -387,9 +457,7 @@ _register(CatalogEntry(
     label="multivariable Jackson summation with free spectator t",
     arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "t"),
-    constraints=(Constraint(
-        _exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e"),),
-    constraint_text="a^2 q^(N+1) = b c d e Z^2  (t arbitrary)",
+    constraints=(Constraint("a^2 q^(N+1) = b c d e Z^2", "e"),),
     sides=(
         Side("|x|<=N", (
             *_DELTA, *_WELL_POISED, *_PAIR, "1/(t / z_i)_|x|-x_i for i",
@@ -409,10 +477,9 @@ _register(CatalogEntry(
     arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "f", "g", "h", "t"),
     constraints=(
-        Constraint(_exps("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),
-        Constraint(_exps("f:1 g:1 h:1 t:-1"), 0, 0, 2, "h"),
+        Constraint("a^2 q^(N+1) = b c d e", "e"),
+        Constraint("f g h Z^2 = t", "h"),
     ),
-    constraint_text="a^2 q^(N+1) = b c d e  and  f g h Z^2 = t",
     sides=(
         Side("|x|<=N", (
             *_DELTA, *_WELL_POISED, *_PAIR, "(a, q^(-N), b, c, d, e)_|x|",

@@ -14,26 +14,19 @@ Exit codes: 0 = verified, 1 = mathematical failure, 2 = usage or
 configuration error (including I/O problems writing the report).
 
 A config file (--config FILE) uses one `key = value` pair per line with
-`#` comments.  Keys are case-sensitive (`n` and `N` are different keys),
-mirror the job fields and are the keys of OPTIONS; `identity` is an alias
-of `identities`:
+`#` comments, for example
 
-    identities = all            # or comma-separated ids
-    n = 1,2,3,4
-    N = 0,1,2,3,4
-    trials = 25
-    seed = 0
-    tolerance = 1e-8
-    p = 0,0.05,0.2              # reals in [0,1) or re+imi literals
-    q-range = 0.2,1.5
-    modulus-range = 0.2,1.5
-    pole-floor = 1e-4
-    condition-cap = 1e6
-    max-resamples = 200
-    min-z-separation = 0.05
-    format = json               # or table
+    identities = gr-sum,rs-jackson   # or all
+    N = 0,1,2
+    p = 0.2,0.1+0.05i                # reals in [0,1) or re+imi literals
+    q-range = 0.3,1.2
+    format = table                   # or json
 
-Command-line flags override config-file values.  An unknown key, a bad
+Keys are case-sensitive (`n` and `N` are different keys) and are the keys
+of OPTIONS, each setting one field of VerificationJob or SampleConfig;
+`identity` is an alias of `identities`.  Command-line flags override
+config-file values, and a field that neither sets keeps its default (all
+identities for `identities`).  An unknown key, a bad
 value (NaN included), an ELLSUM_JOBS that is not an integer >= 1 and a p
 too close to 1 for theta's truncation budget exit 2.
 """
@@ -42,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from ._version import __version__
 from .catalog import CATALOG, IDENTITY_IDS
@@ -84,25 +78,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-#: verify's settings: (config-file key, flag or None for file only, default,
-#: parser, flag help).  Flags override the file, the file the default; the
+#: verify's settings: (config-file key, flag or None for file only, the
+#: VerificationJob or SampleConfig field it sets, parser, flag help).  Flags
+#: override the file; a key neither sets keeps the field's default, and the
 #: job and sampler config check the parsed values.
 OPTIONS = (
-    ("identities", "--identity", "all", _listed(str.strip), "comma-separated ids or 'all'"),
-    ("n", "--n", "1,2,3,4", _listed(int), "comma-separated n values (vector identities)"),
-    ("N", "--N", "0,1,2,3,4", _listed(int), "comma-separated truncation levels"),
-    ("trials", "--trials", "25", int, "trials per grid cell"),
-    ("seed", "--seed", "0", int, "sampler seed"),
-    ("tolerance", "--tol", "1e-8", float, "pass tolerance on relative error"),
-    ("p", "--p", "0,0.05,0.2", _listed(parse_complex_literal),
+    ("identities", "--identity", "identities", _listed(str.strip),
+     "comma-separated ids or 'all' (the default)"),
+    ("n", "--n", "n_values", _listed(int), "comma-separated n values (vector identities)"),
+    ("N", "--N", "N_values", _listed(int), "comma-separated truncation levels"),
+    ("trials", "--trials", "trials", int, "trials per grid cell"),
+    ("seed", "--seed", "seed", int, "sampler seed"),
+    ("tolerance", "--tol", "tolerance", float, "pass tolerance on relative error"),
+    ("p", "--p", "p_values", _listed(parse_complex_literal),
      "comma-separated nome values (|p| < 1)"),
-    ("q-range", "--q-range", "0.2,1.5", _pair, "lo,hi for |q|"),
-    ("modulus-range", None, "0.2,1.5", _pair, None),
-    ("pole-floor", None, "1e-4", float, None),
-    ("condition-cap", None, "1e6", float, None),
-    ("max-resamples", None, "200", int, None),
-    ("min-z-separation", None, "0.05", float, None),
-    ("format", "--format", "json", str, "report format: json or table"),
+    ("q-range", "--q-range", "q_range", _pair, "lo,hi for |q|"),
+    ("modulus-range", None, "modulus_range", _pair, None),
+    ("pole-floor", None, "pole_floor", float, None),
+    ("condition-cap", None, "condition_cap", float, None),
+    ("max-resamples", None, "max_resamples", int, None),
+    ("min-z-separation", None, "min_z_separation", float, None),
+    ("format", "--format", "output_format", str, "report format: json or table"),
 )
 
 
@@ -165,30 +161,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    raw = {key: default for key, _, default, _, _ in OPTIONS}
+    raw = {"identities": "all"}  # the job has no default for it
     if args.config:
         raw.update(load_config_file(args.config))
     flags = vars(args)
     raw.update({key: flags[key] for key, flag, *_ in OPTIONS
                 if flag and flags[key] is not None})
-    value = {}
-    for key, _, _, parse, _ in OPTIONS:
-        try:
-            value[key] = parse(raw[key])
-        except ValueError:
-            raise UsageError(f"bad value for {key}: {raw[key]!r}") from None
+    settings = {}
+    for key, _, name, parse, _ in OPTIONS:
+        if key in raw:
+            try:
+                settings[name] = parse(raw[key])
+            except ValueError:
+                raise UsageError(f"bad value for {key}: {raw[key]!r}") from None
 
     try:
-        config = SampleConfig(
-            seed=value["seed"], modulus_range=value["modulus-range"],
-            p_values=value["p"], q_range=value["q-range"],
-            pole_floor=value["pole-floor"], condition_cap=value["condition-cap"],
-            max_resamples=value["max-resamples"],
-            min_z_separation=value["min-z-separation"])
-        job = VerificationJob(
-            identities=value["identities"], n_values=value["n"], N_values=value["N"],
-            trials=value["trials"], tolerance=value["tolerance"], config=config,
-            output_format=value["format"])
+        sampler = {f.name for f in fields(SampleConfig)} & settings.keys()
+        config = SampleConfig(**{name: settings.pop(name) for name in sampler})
+        job = VerificationJob(config=config, **settings)
         jobs = worker_count(args.jobs)
     except (ValueError, BalancingError) as exc:
         raise UsageError(str(exc)) from None

@@ -1,18 +1,8 @@
 """Left- and right-hand-side evaluators for every identity in the catalog.
 
-Each side of each identity is data, held by its catalog entry: a Side names
-its summation domain and lists its factors as display-form strings, with
-parity branches where the closed form depends on n mod 2.  A factor string
-reads
-
-    [1/]theta(B1, B2; S)    theta(B q^S) for each base B (S = 0 if omitted)
-    [1/](B1, B2)_S          the shifted factorial (B)_S with step q
-    [1/](B)^S               the monomial B^S
-    ... for i | i<j | i!=j | i,j    a product over z indices
-
-where a base is a monomial in the parameters, q, Z, lam and z_i, z_j
-("a q^(N+1) / e z_i") and a shift an integer form in |x|, x_i, x_j, N, N_i,
-N_j ("|x|-x_i", "x_i*x_j").  An evaluation runs in three steps:
+Each side of each identity is data, held by its catalog entry and written
+in the factor language that catalog documents and reads.  An evaluation
+runs in three steps:
 
   * plan (built on first use, then cached): per (side, indices, N or box),
     every theta argument B q^j some term multiplies, the shifted-factorial
@@ -38,14 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
-from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .catalog import IdentityInstance, Side
+from .catalog import IdentityInstance, Side, _bindings, _form, _monomial, _parse
 from .errors import NonFiniteError, PoleError
 from .kernels import box_indices, compositions_bounded, compositions_exact
 from .theta import EllipticNome, theta
@@ -96,62 +83,6 @@ DOMAINS: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factor:
-    kind: str  # "theta", "poch" or "pow"
-    base: str
-    shift: str
-    den: bool
-    over: str  # "", "i", "i<j", "i!=j" or "i,j"
-
-    def label(self, env) -> str:
-        text = {"theta": "theta({0}; {1})", "poch": "({0})_({1})", "pow": "({0})^({1})"}
-        return _bind(text[self.kind].format(self.base, self.shift), env)
-
-
-_FACTOR = r"(1/)?(theta)?\((.*)\)([_^]?)(\S*)(?: for (\S+))?$"
-_TOKEN = r"(\w+)(?:\^\(?([^)\s]+)\)?)?"
-_TERM = r"([+-]?)(\d*)([^+-]*)"
-
-
-def _bind(text: str, env: dict) -> str:
-    """Substitute the bound z indices: 'z_i / z_j' -> 'z_2 / z_0'."""
-    return re.sub(r"_([ij])\b", lambda m: f"_{env[m.group(1)]}", text)
-
-
-def _parse(text: str) -> list[Factor]:
-    den, is_theta, inner, mark, shift, over = re.match(_FACTOR, text).groups()
-    kind = "theta" if is_theta else "poch" if mark == "_" else "pow"
-    if is_theta:
-        inner, _, shift = inner.partition("; ")
-    return [Factor(kind, base.strip(), shift or "0", bool(den), over or "")
-            for base in inner.split(",")]
-
-
-def _form(text: str, env: dict):
-    """Value of an integer form such as 'N+1-N_i' or 'x_i*x_j' (ints or arrays)."""
-    total = 0
-    for sign, coefficient, names in re.findall(_TERM, text):
-        if not (coefficient or names):
-            continue
-        value = -int(coefficient or 1) if sign == "-" else int(coefficient or 1)
-        for name in filter(None, names.split("*")):
-            value = value * env[name]
-        total = total + value
-    return total
-
-
-def _monomial(text: str, env: dict, symbols: dict) -> dict[int, int]:
-    """{symbol index: exponent} of a base such as 'a q^(N+1) / e z_i'."""
-    out: dict[int, int] = {}
-    numerator, _, denominator = text.partition("/")
-    for sign, part in ((1, numerator), (-1, denominator)):
-        for name, power in re.findall(_TOKEN, part):
-            key = symbols[_bind(name, env)]
-            out[key] = out.get(key, 0) + sign * (_form(power, env) if power else 1)
-    return {k: e for k, e in out.items() if e}
-
-
 def _symbol_names(inst: IdentityInstance) -> list[str]:
     names = [*inst.entry.params, "q"]
     if inst.z is not None:
@@ -164,15 +95,6 @@ def _symbol_values(inst: IdentityInstance) -> list[complex]:
     if inst.z is not None:
         values += [inst.Z, *inst.z]
     return values + ([inst.lam] if inst.entry.lambda_rule else [])
-
-
-def _bindings(over: str, n: int) -> list[dict]:
-    if not over:
-        return [{}]
-    if over == "i":
-        return [{"i": i} for i in range(n)]
-    keep = {"i<j": int.__lt__, "i!=j": int.__ne__, "i,j": lambda i, j: True}[over]
-    return [{"i": i, "j": j} for i, j in product(range(n), repeat=2) if keep(i, j)]
 
 
 class _Plan:
@@ -196,10 +118,11 @@ class _Plan:
                     env[f"x_{key}"] = x[:, index]
                     if inst.box is not None:
                         env[f"N_{key}"] = inst.box[index]
-                mono = _monomial(factor.base, env, symbols)
+                mono = _monomial(factor.base, env)
                 shift = np.broadcast_to(_form(factor.shift, env), (count,))
-                offset = 0 if factor.kind == "pow" else mono.pop(symbols["q"], 0)
-                b = bases.setdefault(tuple(sorted(mono.items())), len(bases))
+                offset = 0 if factor.kind == "pow" else mono.pop("q", 0)
+                key = tuple(sorted((symbols[name], e) for name, e in mono.items()))
+                b = bases.setdefault(key, len(bases))
                 if factor.kind == "pow":
                     pows[b] = pows.get(b, 0) + (-shift if factor.den else shift)
                 else:

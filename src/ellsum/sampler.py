@@ -43,7 +43,7 @@ import numpy as np
 from .catalog import IDENTITY_IDS, IdentityInstance, Shape, catalog_entry, solve_balancing
 from .errors import BalancingError, NonFiniteError, PoleError, ResampleExhaustedError
 from .evaluate import evaluate_lhs, evaluate_rhs
-from .theta import EllipticNome, TruncationPolicy
+from .theta import EllipticNome, TruncationPolicy, _integer
 
 #: Allowed modulus window for a solved dependent parameter.
 DEPENDENT_MAGNITUDE_RANGE = (1e-6, 1e6)
@@ -67,6 +67,8 @@ class SampleConfig:
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
+        for name in ("seed", "max_resamples"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         # each check passes only on a good value, so NaN fails every one
         for name in ("modulus_range", "q_range"):
             lo, hi = getattr(self, name)

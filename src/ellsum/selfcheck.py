@@ -221,7 +221,7 @@ def check_ratio_equivalence(rng, _, *, max_n: int = 5, max_weight: int = 8):
     x = tuple(int(v) for v in rng.integers(0, 4, size=n))
     if sum(x) > max_weight:
         return None
-    z = _draw_clear_vector(rng, n, q, p, max_weight)
+    z = _draw_clear_vector(rng, n, q, p, max(x))  # the shifts delta_ratio takes
     if z is None:
         return None
     try:

@@ -75,6 +75,16 @@ def ipow(base: complex, exponent: int) -> complex:
     return result
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError unless it is whole (2.0 is; 2.5, NaN are not)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Deterministic cutoff rule for the theta product tail.
@@ -90,7 +100,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.max_terms < 1:
+        if _integer(self.max_terms, "max_terms") < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
     @property
@@ -116,10 +126,10 @@ class EllipticNome:
         q = complex(self.q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        if abs(p) >= 1.0:
+        if not abs(p) < 1.0:  # NaN fails too
             raise ValueError(f"|p| must be < 1, got |p| = {abs(p)}")
-        if q == 0:
-            raise ValueError("q must be nonzero")
+        if q == 0 or not cmath.isfinite(q):
+            raise ValueError(f"q must be finite and nonzero, got {q}")
 
 
 def _factor_counts(abs_z, nome: EllipticNome):
@@ -162,11 +172,14 @@ def _block(p: complex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, comp
 def theta(z, nome: EllipticNome):
     """Evaluate theta(z; p) under the nome's truncation policy.
 
-    z is an ndarray, evaluated elementwise, or a complex scalar, evaluated
-    as a batch of one and returned as a Python complex.
+    z is an ndarray, evaluated elementwise into an array of its shape, or a
+    complex scalar, evaluated as a batch of one and returned as a Python
+    complex.
     """
     if not isinstance(z, np.ndarray):
         return complex(theta(np.array([z], dtype=complex), nome)[0])
+    if z.ndim != 1:  # any other shape is evaluated flat
+        return theta(z.ravel(), nome).reshape(z.shape)
     z = np.asarray(z, dtype=complex)
     p = nome.p
     if p == 0 or not z.size:

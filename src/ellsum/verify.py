@@ -37,6 +37,7 @@ from .catalog import IDENTITY_IDS, IdentityInstance, catalog_entry
 from .errors import ResampleExhaustedError
 from .evaluate import count_terms, evaluate_lhs, relative_error
 from .sampler import REJECTION_REASONS, SampleConfig, _sample_with_values, sample_instance
+from .theta import _integer
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "ellsum"
@@ -66,8 +67,10 @@ class VerificationJob:
         object.__setattr__(self, "identities", tuple(ids))
         for identity_id in self.identities:
             catalog_entry(identity_id)  # BalancingError for an unknown id
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(self, "N_values", tuple(int(v) for v in self.N_values))
+        for name in ("n_values", "N_values"):
+            values = tuple(_integer(v, name) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         if not self.identities:
             raise ValueError("job needs at least one identity")
         if not self.n_values or min(self.n_values) < 1:

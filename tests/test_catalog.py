@@ -12,6 +12,8 @@ from ellsum import (
     relative_error,
     solve_balancing,
 )
+from ellsum import catalog as catalog_module
+from ellsum.catalog import Constraint
 
 
 NOME = EllipticNome(0.1, 0.5)
@@ -30,6 +32,52 @@ def test_every_entry_has_one_dependent_per_constraint():
         # dependents are distinct parameters
         deps = entry.dependents
         assert len(set(deps)) == len(deps)
+
+
+def _pairs(encoded):
+    return tuple((name, int(e)) for name, e in (t.split(":") for t in encoded.split()))
+
+
+# (exponents, q coefficient of N, q constant, Z power, dependent) of each
+# constraint, typed out independently of its text
+EQUATIONS = {
+    "frenkel-turaev": [(_pairs("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e")],
+    "elliptic-bailey": [(_pairs("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, 0, "g")],
+    "rs-jackson": [(_pairs("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e")],
+    "theta-lemma": [(_pairs("b1:1 b2:1 b3:1 b4:1"), 0, 0, 2, "b4")],
+    "gr-sum": [(_pairs("b1:1 b2:1 b3:1 b4:1"), 1, -1, 2, "b4")],
+    "gr-corollary": [(_pairs("a:2 b1:-1 b2:-1 b3:-1 b4:-1"), 1, 1, -2, "b4")],
+    "bt-transform": [(_pairs("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g")],
+    "bc-transform": [(_pairs("a:3 b:-1 c:-1 d:-1 e:-1 f:-1 g:-1"), 1, 2, -2, "g")],
+    "njc-jackson": [(_pairs("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e")],
+    "jts-jackson": [(_pairs("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, -2, "e")],
+    "general-jackson": [(_pairs("a:2 b:-1 c:-1 d:-1 e:-1"), 1, 1, 0, "e"),
+                        (_pairs("f:1 g:1 h:1 t:-1"), 0, 0, 2, "h")],
+}
+
+
+def test_constraint_text_reads_to_its_equation():
+    assert set(EQUATIONS) == set(CATALOG)
+    for identity_id, equations in EQUATIONS.items():
+        read = [(c.exponents, c.q_n_coeff, c.q_const, c.z_power, c.dependent)
+                for c in CATALOG[identity_id].constraints]
+        assert read == equations, identity_id
+    assert CATALOG["general-jackson"].constraint_text == (
+        "a^2 q^(N+1) = b c d e  and  f g h Z^2 = t")
+
+
+def test_constraint_text_read_once(monkeypatch):
+    def unread(*args):
+        raise AssertionError("constraint text read at solve time")
+    monkeypatch.setattr(catalog_module, "_monomial", unread)
+    inst = solve_balancing("gr-sum", {"b1": 0.3, "b2": 0.4, "b3": 0.5},
+                           nome=NOME, z=(0.7, 1.1), N=2)
+    assert max(inst.constraint_residuals()) <= 1e-13
+
+
+def test_constraint_exponents_other_than_q_must_not_depend_on_N():
+    with pytest.raises(ValueError, match="only q"):
+        Constraint("a^N q = b", "b")
 
 
 def test_gr_sum_dependent_solved_from_direct_arithmetic():

@@ -25,15 +25,8 @@ from ellsum import (
     solve_balancing,
     theta,
 )
-from ellsum.evaluate import (
-    DOMAINS,
-    _bindings,
-    _form,
-    _monomial,
-    _parse,
-    _symbol_names,
-    _symbol_values,
-)
+from ellsum.catalog import _bindings, _form, _monomial, _parse
+from ellsum.evaluate import DOMAINS, _symbol_names, _symbol_values
 
 CONFIG = SampleConfig(seed=123)
 
@@ -232,8 +225,8 @@ def _reference_side(side, inst) -> tuple[complex, float]:
                     if inst.box is not None:
                         env[f"N_{key}"] = inst.box[index]
                 base = complex(1.0)
-                for k, power in _monomial(factor.base, env, symbols).items():
-                    base *= ipow(values[k], power)
+                for name, power in _monomial(factor.base, env).items():
+                    base *= ipow(values[symbols[name]], power)
                 shift = _form(factor.shift, env)
                 if factor.kind == "theta":
                     value = theta(base * ipow(nome.q, shift), nome)

@@ -159,6 +159,7 @@ def test_overflow_is_a_condition_rejection(monkeypatch):
     ("condition_cap", math.nan), ("condition_cap", -1.0), ("condition_cap", 0.0),
     ("min_z_separation", math.nan), ("min_z_separation", -0.05),
     ("p_values", ()), ("p_values", (complex(math.nan),)),
+    ("seed", 1.5), ("max_resamples", 2.5),
 ])
 def test_config_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):

@@ -86,6 +86,13 @@ def test_nome_validation():
         TruncationPolicy(epsilon=0.0)
     with pytest.raises(ValueError):
         TruncationPolicy(max_terms=0)
+    for p, q in ((math.nan, 0.5), (complex(0.1, math.nan), 0.5), (0.2, math.nan),
+                 (0.2, math.inf)):
+        with pytest.raises(ValueError):
+            EllipticNome(p, q)
+    for max_terms in (math.nan, 2.5):
+        with pytest.raises(ValueError):
+            TruncationPolicy(max_terms=max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +124,16 @@ def test_theta_batch_value_independent_of_batch(p):
     for width in (2, 5, 17):
         for k in range(len(z) - width):
             assert (theta(z[k:k + width], nome(p)) == full[k:k + width]).all()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2])
+@pytest.mark.parametrize("shape", [(), (2, 2)])
+def test_theta_array_keeps_its_shape(shape, p):
+    # any array is evaluated flat: each value equals its value in the flat batch
+    z = _arguments(4)[:math.prod(shape)].reshape(shape)
+    value = theta(z, nome(p))
+    assert isinstance(value, np.ndarray) and value.shape == shape
+    assert value.ravel().tolist() == theta(z.ravel(), nome(p)).tolist()
 
 
 def test_theta_batch_trigonometric_is_exactly_one_minus_z():

@@ -20,6 +20,7 @@ from ellsum import (
     run_bench,
     run_job,
 )
+from ellsum import cli as cli_module
 from ellsum import verify as verify_module
 from ellsum._version import __version__
 from ellsum.catalog import spread_box
@@ -353,6 +354,40 @@ def test_cli_bad_config_file(tmp_path):
     assert cli_main(["verify", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+class _Built(Exception):
+    pass
+
+
+def _built_job(monkeypatch, argv):
+    """The job `ellsum verify` builds from argv, caught before it runs."""
+    def capture(job, jobs=None):
+        raise _Built(job)
+    monkeypatch.setattr(cli_module, "run_job", capture)
+    monkeypatch.delenv("ELLSUM_JOBS", raising=False)
+    with pytest.raises(_Built) as built:
+        cli_main(["verify", *argv])
+    return built.value.args[0]
+
+
+def test_cli_verify_defaults_are_the_job_defaults(monkeypatch):
+    assert _built_job(monkeypatch, []) == VerificationJob("all")
+
+
+def test_cli_config_keys_set_their_fields(tmp_path, monkeypatch):
+    config = tmp_path / "job.cfg"
+    config.write_text(
+        "identity = gr-sum\nn = 2,3\nN = 1\ntrials = 4\nseed = 9\ntolerance = 1e-9\n"
+        "p = 0.1+0.05i\nq-range = 0.3,1.2\nmodulus-range = 0.4,1.1\npole-floor = 1e-3\n"
+        "condition-cap = 1e5\nmax-resamples = 50\nmin-z-separation = 0.1\n"
+        "format = table\n")
+    config_fields = dict(
+        seed=9, p_values=(0.1 + 0.05j,), q_range=(0.3, 1.2), modulus_range=(0.4, 1.1),
+        pole_floor=1e-3, condition_cap=1e5, max_resamples=50, min_z_separation=0.1)
+    assert _built_job(monkeypatch, ["--config", str(config)]) == VerificationJob(
+        ("gr-sum",), n_values=(2, 3), N_values=(1,), trials=4, tolerance=1e-9,
+        config=SampleConfig(**config_fields), output_format="table")
+
+
 def test_cli_selftest_small(capsys):
     code = cli_main(["selftest", "--seed", "1", "--theta-samples", "50",
                      "--kernel-samples", "20"])
@@ -423,7 +458,9 @@ def test_cli_bench_bad_input_exits_2(flags, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tolerance", float("nan")), ("tolerance", -1e-8), ("n_values", ()), ("N_values", ())])
+    ("tolerance", float("nan")), ("tolerance", -1e-8), ("n_values", ()), ("N_values", ()),
+    ("n_values", (1.5,)), ("N_values", (0.7,)), ("N_values", (float("nan"),)),
+    ("trials", 2.5), ("trials", float("inf"))])
 def test_job_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError):
         small_job(**{field: value})
