@@ -51,7 +51,7 @@ from itertools import product
 from typing import Mapping, NamedTuple
 
 from .errors import BalancingError
-from .theta import EllipticNome, ipow
+from .theta import EllipticNome, _integer, ipow
 
 #: Residual ceiling that every constructed instance must satisfy.
 CONSTRAINT_RESIDUAL_TOL = 1e-13
@@ -238,11 +238,13 @@ class CatalogEntry:
         Drops what the arity ignores (n of a scalar identity, N of a
         vector-only one, the box of all but the box arity, N when a box is
         given) and spreads N over n box coordinates when no box is given.
-        Raises BalancingError for n < 1, N < 0 or bad box limits.
+        Raises ValueError for a given n, N or box limit that is not whole,
+        and BalancingError for n < 1, N < 0 or bad box limits.
         """
         name, arity = self.identity_id, self.arity
+        n, N = (None if v is None else _integer(v, label) for v, label in ((n, "n"), (N, "N")))
         if arity == VECTOR_BOX and box is not None:
-            box = tuple(int(m) for m in box)
+            box = tuple(_integer(m, "box limit") for m in box)
             if not box or min(box) < 0 or n not in (None, len(box)):
                 raise BalancingError(f"{name}: bad box limits {box} for n = {n}")
             return Shape(len(box), None, box)

@@ -239,9 +239,9 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
         low = size[plan.den_args].min()
         if low == 0.0 or low < ctx.pole_floor:
             _raise_pole(_Plan(side, inst, xs, detail=True), xs, size, ctx.pole_floor)
-    exps = np.frexp(size)[1]
-    mant = (values * np.ldexp(1.0, -exps)).tolist()
-    exps = exps.tolist()
+    value_exps = np.frexp(size)[1]
+    value_mant = values * np.ldexp(1.0, -value_exps)
+    mant, exps = value_mant.tolist(), value_exps.tolist()
     mant.append(complex(1.0))
     exps.append(0)
     for first, stop in plan.runs:  # (B)_k for k = 2 .. stop - first, kept normalised
@@ -260,9 +260,12 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
     c_mant = math.prod(map(get_m, plan.const_num)) / math.prod(map(get_m, plan.const_den))
     c_exp = sum(map(get_e, plan.const_num)) - sum(map(get_e, plan.const_den))
     if len(xs) >= NUMPY_TERMS:
-        mant, exps = np.array(mant), np.array(exps)
-        m = mant[plan.num].prod(axis=1) / mant[plan.den].prod(axis=1)
-        e = exps[plan.num].sum(axis=1) - exps[plan.den].sum(axis=1)
+        # the slot arrays are the scaled values, then 1 and the run products;
+        # take() gathers with the int16 slot matrices without an intp copy
+        mant = np.concatenate((value_mant, mant[len(values):]))
+        exps = np.concatenate((value_exps, exps[len(values):]))
+        m = mant.take(plan.num).prod(axis=1) / mant.take(plan.den).prod(axis=1)
+        e = exps.take(plan.num).sum(axis=1) - exps.take(plan.den).sum(axis=1)
         top = int(e[m != 0].max(initial=0))  # exponents of zero terms are arbitrary
         terms = m * np.ldexp(1.0, e - top)
         re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())

@@ -97,7 +97,7 @@ def _rng_for(config: SampleConfig, identity_id: str, shape: Shape, trial_index: 
         config.seed & 0xFFFFFFFFFFFFFFFF,
         IDENTITY_IDS.index(identity_id),
         0 if shape.n is None else shape.n + 1,
-        trial_index,
+        _integer(trial_index, "trial_index"),
         _float_bits(complex(p).real),
         _float_bits(complex(p).imag),
         *shape.level_code,
@@ -260,8 +260,9 @@ def sample_instance(identity_id: str, *, n=None, N=None, box=None,
 
     The result is a pure function of (config, identity_id, n, N/box,
     trial_index, p).  The request (n, N, box) is resolved by
-    CatalogEntry.shape first, so a bad one raises BalancingError before any
-    draw.  Raises ResampleExhaustedError with the rejection histogram when
+    CatalogEntry.shape first, so a bad one raises BalancingError (ValueError
+    for a value that is not whole, as for trial_index) before any draw.
+    Raises ResampleExhaustedError with the rejection histogram when
     max_resamples draws all fail a gate.
     """
     instance, _, _, _, _ = _sample_with_values(

@@ -23,10 +23,15 @@ p = 0 short-circuits to the exact trigonometric value 1 - z and touches
 none of the truncation machinery.
 
 theta evaluates a numpy array of arguments in one vectorised pass over
-blocks of the factors (1 - p^j z)(1 - p^{j+1}/z), one column per argument;
+blocks of 32 factors (1 - p^j z)(1 - p^{j+1}/z), one column per argument;
 any other argument is a batch of one, returned as a Python complex.  Each
-argument stops at its own factor count and later factors are exactly 1, so
-a value does not depend on which other arguments share its batch.  A
+argument stops at its own factor count, and the factors past it are
+exactly 1: they are skipped, not multiplied.  A block takes only the
+arguments whose count reaches it and only the rows below the largest count
+among them, and it multiplies the rows pairwise as it would all 32, so a
+value does not depend on which other arguments share its batch.  (Against
+the full block, where the skipped factors are multiplied as 1 + 0i, a value
+on the real or imaginary axis can differ in the sign of its zero part.)  A
 block's tables (the columns p^j and p^(j+1) and the row indices j) depend
 on p alone: they are built on first use, by repeated multiplication, and
 kept.  Callers that need several thetas pass them in one array.
@@ -190,20 +195,39 @@ def theta(z, nome: EllipticNome):
         raise NonFiniteError("theta of a non-finite argument")
     counts = _factor_counts(np.abs(z), nome)
     inv_z = 1.0 / z
-    result = None
-    for k in range(-(-int(counts.max()) // _BLOCK)):
-        powers, next_powers, rows, _ = _block(p, k)
-        done = rows >= counts
-        # Factors past an argument's count are exactly 1.  Halving a block
-        # multiplies the same pairs for every batch, and contiguous halves
-        # keep numpy on one rounding path whatever len(z) is.
-        factors = np.where(done, 1.0, (1.0 - powers * z) * (1.0 - next_powers * inv_z))
-        while len(factors) > 1:
-            half = len(factors) // 2
-            factors = factors[:half] * factors[half:]
-        result = factors[0] if result is None else result * factors[0]
-    if result is None:
-        return np.ones(len(z), dtype=complex)
+    top, low = int(counts.max()), counts.min()
+    result = np.ones(len(z), dtype=complex)  # an argument with no factors
+    for start in range(0, top, _BLOCK):
+        powers, next_powers, rows, _ = _block(p, start // _BLOCK)
+        # Factors past an argument's count are exactly 1, so they are not
+        # multiplied: the block takes the arguments whose count exceeds its
+        # first row, stores rows up to the largest count and masks rows from
+        # the smallest count on.
+        if low > start:
+            take, zs, inv_zs, ends = None, z, inv_z, counts
+        else:
+            take = np.flatnonzero(counts > start)
+            zs, inv_zs, ends = z[take], inv_z[take], counts[take]
+        stored = min(_BLOCK, top - start)
+        factors = (1.0 - powers[:stored] * zs) * (1.0 - next_powers[:stored] * inv_zs)
+        first = int(ends.min()) - start
+        if first < stored:
+            factors[first:] = np.where(rows[first:stored] >= ends, 1.0, factors[first:])
+        # The halving tree pairs row i with row i + half, as over a full
+        # block; a row whose partner is not stored is carried unchanged.
+        # Contiguous halves keep numpy on one rounding path whatever len(z).
+        half = _BLOCK // 2
+        while half:
+            pairs = len(factors) - half
+            if pairs > 0:
+                product = factors[:pairs] * factors[half:]
+                factors = (product if pairs == half
+                           else np.concatenate((product, factors[pairs:half])))
+            half //= 2
+        if take is None:
+            result = factors[0] if start == 0 else result * factors[0]
+        else:
+            result[take] = factors[0] if start == 0 else result[take] * factors[0]
     if not np.isfinite(result).all():
         raise NonFiniteError("theta overflowed")
     return result

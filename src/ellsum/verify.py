@@ -3,9 +3,13 @@ grid of seeded trials and assemble a machine-readable report.
 
 The report is deterministic: identical jobs (including the seed) produce
 byte-identical JSON except for the `timing` sub-object, which is the only
-place wall-clock data lives.  Trials are ordered by (catalog position of
-the identity, n, N, p position, trial index); failing trials embed the
-full instance so they can be replayed standalone.
+place wall-clock data lives.  This holds on one machine with one numpy
+build: numpy chooses its complex multiply loops by CPU feature, and its
+AVX2/FMA loops round differently from its baseline loops, so disabling
+them (NPY_DISABLE_CPU_FEATURES) changes the last bits of values.  Trials
+are ordered by (catalog position of the identity, n, N, p position, trial
+index); failing trials embed the full instance so they can be replayed
+standalone.
 
 Trial evaluation is embarrassingly parallel.  The ELLSUM_JOBS environment
 variable sets the default number of worker processes (1 = in-process; a
@@ -14,7 +18,7 @@ depend on the degree.  The process pool is imported only by a run that uses
 one, and it is sent the cells in about four chunks per worker.
 
 report_to_json writes the report text in one pass, each trial and cell
-record from one format string; its bytes equal
+record from one format string and `timing` member by member; its bytes equal
 json.dumps(report_to_dict(report), indent=2), and report_to_dict parses
 that text back.
 
@@ -232,8 +236,9 @@ def run_job(job: VerificationJob, *, jobs: int | None = None) -> VerificationRep
 # Serialization
 # ---------------------------------------------------------------------------
 
-# Trial and cell records are each written from one format string; the job
-# echo, `timing` and a failing trial's instance go through json.dumps.
+# Trial and cell records are each written from one format string, and
+# `timing` member by member; the job echo and a failing trial's instance go
+# through json.dumps.
 # Strings are quoted and numbers written as json writes them, and every
 # object and list is laid out with json's indent of 2.  (Before Python 3.13,
 # json.dumps with an indent runs the pure-Python encoder, which costs about
@@ -243,8 +248,10 @@ _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The report's members are indented by 2 spaces.  A record sits at depth 2
 # (report -> list -> record): its members are indented by 6 spaces, and the
-# members of its objects and lists by 8.
+# members of its objects and lists by 8.  The members of a top-level object
+# (`timing`) are indented by 4 spaces, and the items of its lists by 6.
 _TOP = "\n  "
+_OBJECT = "\n    "
 _MEMBER = "\n      "
 _INNER = "\n        "
 
@@ -267,8 +274,24 @@ def _complex_text(re: float, im: float) -> str:
 
 
 def _nested(value, indent: str) -> str:
-    """A job echo, instance or timing object, laid out at `indent`."""
+    """A job echo or instance object, laid out at `indent`."""
     return json.dumps(value, indent=2).replace("\n", indent)
+
+
+def _timing_text(timing: dict) -> str:
+    """The timing object, laid out at the report's top level: its strings,
+    floats and lists of floats (one per cell) as json writes them."""
+    members = []
+    for key, value in timing.items():
+        if isinstance(value, str):
+            value = _quote(value)
+        elif isinstance(value, list):
+            value = ("[" + ",".join(_MEMBER + _num(v) for v in value) + _OBJECT + "]"
+                     if value else "[]")
+        else:
+            value = _num(value)
+        members.append(f"{_OBJECT}{_quote(key)}: {value}")
+    return "{" + ",".join(members) + _TOP + "}" if members else "{}"
 
 
 def _head(identity: str, n: int | None, N, p_re: float, p_im: float) -> str:
@@ -392,7 +415,7 @@ def report_to_json(report: VerificationReport) -> str:
             f'\n  "cells": {_records(map(_cell_text, report.cells))},'
             f'\n  "trials": {_records(_trial_texts(report.trials))},'
             f'\n  "verdict": {_quote(report.verdict)},'
-            f'\n  "timing": {_nested(report.timing, _TOP)}\n}}')
+            f'\n  "timing": {_timing_text(report.timing)}\n}}')
 
 
 def report_to_dict(report: VerificationReport) -> dict:

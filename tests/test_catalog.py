@@ -201,3 +201,8 @@ def test_shape_resolves_each_arity():
     for identity_id, *request in bad:
         with pytest.raises(BalancingError):
             CATALOG[identity_id].shape(*request)
+    # a value that is not whole is a ValueError, not truncated
+    for identity_id, *request in [("gr-sum", 2.5, 1), ("gr-sum", 2, 0.7),
+                                  ("rs-jackson", None, None, (1.5, 1))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            CATALOG[identity_id].shape(*request)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ellsum import (
@@ -26,7 +27,18 @@ from ellsum import (
     theta,
 )
 from ellsum.catalog import _bindings, _form, _monomial, _parse
-from ellsum.evaluate import DOMAINS, _symbol_names, _symbol_values
+from ellsum.evaluate import (
+    _PLANS,
+    DOMAINS,
+    NUMPY_TERMS,
+    EvalContext,
+    _Plan,
+    _raise_pole,
+    _scaled,
+    _sum_terms,
+    _symbol_names,
+    _symbol_values,
+)
 
 CONFIG = SampleConfig(seed=123)
 
@@ -253,6 +265,85 @@ def test_spec_matches_scalar_reference(identity_id):
             expected, expected_largest = _reference_side(side, inst)
             assert relative_error(value, expected) < 1e-12, (n, N, p)
             assert relative_error(largest, expected_largest) < 1e-12, (n, N, p)
+
+
+def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
+    """_sum_terms with its slot values held in one Python list, the runs
+    appended to it and the list turned into arrays for a numpy gather with
+    the int16 slot matrices: the reference for the array-built slots."""
+    xs = tuple(domain(inst))
+    key = (id(side), inst.n, inst.N, inst.box)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _Plan(side, inst, xs)
+    symbols = np.array(_symbol_values(inst))
+    monomials = np.multiply.reduce(symbols[plan.mono_sym] ** plan.mono_exp, axis=1)
+    bases = monomials[:plan.base_count]
+    values = np.concatenate((ctx.theta(bases[plan.arg_base] * ctx.q ** plan.arg_q),
+                             monomials[plan.base_count:]))
+    size = np.abs(values)
+    if plan.den_args.size:
+        low = size[plan.den_args].min()
+        if low == 0.0 or low < ctx.pole_floor:
+            _raise_pole(_Plan(side, inst, xs, detail=True), xs, size, ctx.pole_floor)
+    exps = np.frexp(size)[1]
+    mant = (values * np.ldexp(1.0, -exps)).tolist()
+    exps = exps.tolist()
+    mant.append(complex(1.0))
+    exps.append(0)
+    for first, stop in plan.runs:
+        m, e = mant[first], exps[first]
+        for k in range(first + 1, stop):
+            m *= mant[k]
+            e += exps[k]
+            if abs(m) < 0.5:
+                m *= 2.0
+                e -= 1
+            mant.append(m)
+            exps.append(e)
+    get_m, get_e = mant.__getitem__, exps.__getitem__
+    c_mant = math.prod(map(get_m, plan.const_num)) / math.prod(map(get_m, plan.const_den))
+    c_exp = sum(map(get_e, plan.const_num)) - sum(map(get_e, plan.const_den))
+    if len(xs) >= NUMPY_TERMS:
+        mant, exps = np.array(mant), np.array(exps)
+        m = mant[plan.num].prod(axis=1) / mant[plan.den].prod(axis=1)
+        e = exps[plan.num].sum(axis=1) - exps[plan.den].sum(axis=1)
+        top = int(e[m != 0].max(initial=0))
+        terms = m * np.ldexp(1.0, e - top)
+        re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
+        largest = float(np.abs(terms).max())
+    else:
+        m = [math.prod(map(get_m, a)) / math.prod(map(get_m, b)) for a, b in plan.rows]
+        e = [sum(map(get_e, a)) - sum(map(get_e, b)) for a, b in plan.rows]
+        top = max((k for v, k in zip(m, e) if v), default=0)
+        terms = [v * math.ldexp(1.0, k - top) for v, k in zip(m, e)]
+        re, im = math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)
+        largest = max(map(abs, terms))
+    total = complex(re, im) * c_mant
+    value = complex(_scaled(total.real, top + c_exp), _scaled(total.imag, top + c_exp))
+    return value, _scaled(largest * abs(c_mant), top + c_exp)
+
+
+@pytest.mark.parametrize("identity_id", sorted(CATALOG))
+def test_assembly_equals_the_list_reference(identity_id):
+    # bit for bit, on sides gathered with numpy (n 3-4, N 5) and in Python
+    # (n 1-2, N 0-1)
+    paths = set()
+    requests = [(n, 5, 0.2) for n in (3, 4)]
+    requests += [(n, N, p) for n in (1, 2) for N in (0, 1) for p in (0.0, 0.2)]
+    for n, N, p in requests:
+        inst = sample_instance(identity_id, n=n, N=N, config=CONFIG, trial_index=0, p=p)
+        ctx = EvalContext(inst.nome)
+        for side in inst.entry.sides:
+            domain = DOMAINS[side.domain]
+            got, expected = (np.array([(v.real, v.imag, largest)]).tobytes()
+                             for v, largest in (_sum_terms(ctx, inst, domain, side),
+                                                _list_assembly(ctx, inst, domain, side)))
+            assert got == expected, (n, N, p, side.domain)
+            paths.add(len(tuple(domain(inst))) >= NUMPY_TERMS)
+    # the scalar sums have N + 1 terms and theta-lemma's n: all gathered in Python
+    assert paths == {False} | {identity_id not in ("elliptic-bailey", "frenkel-turaev",
+                                                   "theta-lemma")}
 
 
 # Well-conditioned trials whose shifted factorials reach 1e210: products of

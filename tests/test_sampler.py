@@ -130,6 +130,13 @@ def test_bad_shape_fails_before_any_draw(n, N, monkeypatch):
         rejection_report("gr-sum", n=n, N=N, config=SampleConfig(), count=3, p=0.2)
 
 
+@pytest.mark.parametrize("n, N, trial_index", [(2, 0.7, 0), (2.5, 1, 0), (2, 1, 1.5)])
+def test_non_integral_request_raises_value_error(n, N, trial_index):
+    with pytest.raises(ValueError, match="must be an integer"):
+        sample_instance("gr-sum", n=n, N=N, config=SampleConfig(),
+                        trial_index=trial_index, p=0.2)
+
+
 def test_negative_trial_index_raises():
     # SeedSequence entropy must be non-negative
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -23,7 +24,9 @@ from ellsum import (
     relative_error,
     theta,
 )
-from ellsum.theta import _factor_counts
+from ellsum.theta import _BLOCK, _block, _factor_counts
+
+theta_module = importlib.import_module("ellsum.theta")
 
 
 def nome(p, q=0.5, **policy):
@@ -124,6 +127,59 @@ def test_theta_batch_value_independent_of_batch(p):
     for width in (2, 5, 17):
         for k in range(len(z) - width):
             assert (theta(z[k:k + width], nome(p)) == full[k:k + width]).all()
+
+
+def _full_block_theta(z, nome):
+    """The reference product: every block multiplies all 32 rows for every
+    argument, the factors past an argument's count set to 1, and halves
+    each block to one row."""
+    counts = theta_module._factor_counts(np.abs(z), nome)
+    inv_z = 1.0 / z
+    result = None
+    for k in range(-(-int(counts.max()) // _BLOCK)):
+        powers, next_powers, rows, _ = _block(nome.p, k)
+        done = rows >= counts
+        factors = np.where(done, 1.0, (1.0 - powers * z) * (1.0 - next_powers * inv_z))
+        while len(factors) > 1:
+            half = len(factors) // 2
+            factors = factors[:half] * factors[half:]
+        result = factors[0] if result is None else result * factors[0]
+    return np.ones(len(z), dtype=complex) if result is None else result
+
+
+def _mixed_batches(seed=11):
+    """Batches of 1 to 200 arguments, |z| from 1e-6 to 1e6, half of them
+    within 1e-4 of the real axis."""
+    rng = np.random.default_rng(seed)
+    for size in (1, 2, 7, 33, 200, *rng.integers(1, 200, 20)):
+        phase = np.where(rng.random(size) < 0.5, rng.uniform(0, 2 * np.pi, size),
+                         np.pi * rng.integers(0, 2, size) + 10 ** rng.uniform(-12, -4, size))
+        yield 10 ** rng.uniform(-6, 6, size) * np.exp(1j * phase)
+
+
+@pytest.mark.parametrize("fewer", [0, 12, 30])
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.2 + 0.1j, 0.5, 0.9])
+def test_theta_equals_the_full_block_product(p, fewer, monkeypatch):
+    # theta multiplies only the factors that are not exactly 1: the same
+    # pairs in the same order as the full product, so the same bits.  The
+    # factors next to a count differ from 1 by less than 1e-18, so most of
+    # them leave the bits alone; cutting `fewer` factors off every count
+    # (down to none) puts factors far from 1 there, where a row or an
+    # argument left out shows.
+    counts_of = theta_module._factor_counts
+    monkeypatch.setattr(theta_module, "_factor_counts",
+                        lambda abs_z, nome: np.maximum(counts_of(abs_z, nome) - fewer, 0))
+    skips = set()
+    for z in _mixed_batches():
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = z[np.isfinite(_full_block_theta(z, nome(p)))]  # theta raises on overflow
+        assert theta(z, nome(p)).tobytes() == _full_block_theta(z, nome(p)).tobytes()
+        counts = theta_module._factor_counts(np.abs(z), nome(p)).astype(int)
+        skips.add((counts.min() - 1) // _BLOCK != (counts.max() - 1) // _BLOCK)
+    if not fewer:
+        # some batches have arguments that skip blocks others need, except at
+        # p = 0.05 (every count is below 32) and 0.5 (every count is 65 to 96)
+        assert (True in skips) == (p not in (0.05, 0.5))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2])

@@ -159,6 +159,11 @@ def test_report_text_equals_the_stdlib_encoding(jobs):
     assert {t.n for t in report.trials} == {None, 2}
     assert None in {t.N for t in report.trials}
     assert any(t.box is not None for t in report.trials)
+    # timing, written member by member too, with one number per cell
+    assert len(report.timing["cell_seconds"]) == len(report.cells) > 1
+    for timing in ({**report.timing, "cell_seconds": []}, {}):
+        other = dataclasses.replace(report, timing=timing)
+        assert report_to_json(other) == _reference_json(other)
 
 
 def test_report_text_writes_non_finite_numbers_as_json_does():
@@ -174,16 +179,21 @@ def test_report_text_writes_non_finite_numbers_as_json_does():
                                 condition_ratio=inf)
     cell = {**report.cells[0], "max_relative_error": nan, "median_relative_error": None,
             "max_condition_ratio": -inf}
-    report = dataclasses.replace(report, cells=[cell], trials=[trial, *report.trials[1:]])
+    timing = {**report.timing, "total_seconds": nan, "cell_seconds": [inf, -0.0]}
+    report = dataclasses.replace(report, cells=[cell], trials=[trial, *report.trials[1:]],
+                                 timing=timing)
     text = report_to_json(report)
     assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+    assert text.endswith('"total_seconds": NaN,\n    "cell_seconds": [\n'
+                         '      Infinity,\n      -0.0\n    ]\n  }\n}')
     assert text == _reference_json(report)
 
 
 def test_report_serialization_stays_off_the_pure_python_encoder_per_trial(monkeypatch):
     # json.dumps with an indent runs json.encoder's pure-Python encoder
     # (before Python 3.13; made so here on every version); count the chunks
-    # it yields for one and for 25 trials of the same cells
+    # it yields for one and for 25 trials of the same cells, and for 2 and 8
+    # cells, less the job echo's (which lists the grid)
     chunks = [0]
     make_iterencode = json.encoder._make_iterencode
 
@@ -199,15 +209,19 @@ def test_report_serialization_stays_off_the_pure_python_encoder_per_trial(monkey
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
     counts = []
-    for trials in (1, 25):
-        report = run_job(small_job(identities=("gr-sum", "theta-lemma"), n_values=(2,),
-                                   N_values=(1,), trials=trials,
+    for trials, n_values, N_values in ((1, (2,), (1,)), (25, (2,), (1,)), (1, (1, 2), (0, 1, 2))):
+        report = run_job(small_job(identities=("gr-sum", "theta-lemma"), n_values=n_values,
+                                   N_values=N_values, trials=trials,
                                    config=SampleConfig(seed=42, p_values=(0.0,))))
         assert report.verdict == "pass"
         chunks[0] = 0
+        json.dumps(verify_module._job_json(report.job), indent=2)
+        echo = chunks[0]
         report_to_json(report)
-        counts.append(chunks[0])
-    assert 0 < counts[0] == counts[1]
+        assert echo > 0
+        counts.append(chunks[0] - 2 * echo)  # all but report_to_json's echo
+    assert len(report.cells) == 8
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_table_format():
