@@ -5,11 +5,11 @@ in the factor language that catalog documents and reads.  An evaluation
 runs in three steps:
 
   * plan (built on first use, then cached): per (side, indices, N or box),
-    every theta argument B q^j some term multiplies, the shifted-factorial
-    tables built from them, and each term's table slots (as Python lists
-    too, for a small sum);
+    every theta argument B q^j some term multiplies, one table per shifted
+    factorial built from them, and each term's slots (as Python lists too,
+    for a small sum);
   * batch: all theta arguments of the side in one vectorised call, then
-    each table (B)_0 .. (B)_K by a running product;
+    each table (B)_0 .. (B)_K: 1, theta(B), then a running product;
   * assemble: gather each term from the tables and sum the terms with
     math.fsum on the real and imaginary parts; numpy gathers large sums,
     Python small ones.
@@ -98,7 +98,11 @@ def _symbol_values(inst: IdentityInstance) -> list[complex]:
 
 
 class _Plan:
-    """Everything about a side's evaluation that does not depend on values."""
+    """Everything about a side's evaluation that does not depend on values.
+
+    A term's (B)_s is slot table + s of its run's table.  Only a plan built
+    with detail keeps den_uses, which _raise_pole reads to name a pole.
+    """
 
     def __init__(self, side: Side, inst: IdentityInstance, xs: tuple, detail=False):
         n = len(inst.z) if inst.z is not None else 1
@@ -149,35 +153,32 @@ class _Plan:
         self.mono_sym, self.mono_exp = np.moveaxis(padded.reshape(len(monomials), width, 2), 2, 0)
         self.base_count = len(bases)
 
-        # value slots: theta values, powers, 1, then (B)_2 .. (B)_K of each run;
-        # (B)_1 is the theta value theta(B) itself
+        # value slots: theta values, powers, then one table per run of theta
+        # arguments B, Bq, .. Bq^(K-1): (B)_0 = 1, (B)_1 = theta(B), .. (B)_K
         pow_slot = {key: len(args) + k for k, key in enumerate(powers)}
-        one = len(args) + len(powers)
-        slot, run_slot, runs = one + 1, {}, {}
+        slot, tables, runs = len(args) + len(powers), {}, {}
         for (b, offset), length in sorted(lengths.items()):  # a run's args are contiguous
             first = arg_of.get((b, offset), 0)
             runs[b, offset] = range(first, first + length)
-            run_slot[b, offset], slot = slot, slot + max(length - 1, 0)
+            tables[b, offset], slot = slot, slot + length + 1
 
-        num, den, den_args, den_uses = [], [], set(), []
+        num, den, den_args, self.den_uses = [], [], set(), []
         for factor, env, b, offset, shift in uses:
             if factor.kind == "poch":
-                slots = np.select([shift == 0, shift == 1], [one, runs[b, offset].start],
-                                  run_slot[b, offset] + shift - 2)
-                run = runs[b, offset][:int(shift.max())]
-                touched, use = run, (factor.label(env), run, shift)
+                run, slots = runs[b, offset], tables[b, offset] + shift
+                touched, per_term = run[:int(shift.max())], shift
             else:
-                slots = np.array([arg_of[b, offset + s] for s in shift.tolist()])
-                touched, use = slots.tolist(), (factor.label(env), None, slots)
+                run, slots = None, np.array([arg_of[b, offset + s] for s in shift.tolist()])
+                touched = per_term = slots.tolist()
             if factor.den:
                 den_args.update(touched)
-                den_uses.append(use)
+                if detail:  # what _raise_pole reads to name the factor and term
+                    self.den_uses.append((factor, env, run, per_term))
             (den if factor.den else num).append(slots)
         num += [np.array([pow_slot[b, k] for k in e.tolist()])
                 for b, e in pows.items() if np.any(e)]
         self.den_args = np.array(sorted(den_args), dtype=np.intp)
-        self.den_uses = den_uses if detail else None  # (label, run, per term) for errors
-        self.runs = [(r.start, r.stop) for r in runs.values() if len(r) > 1]
+        self.runs = [(r.start, r.stop) for r in runs.values()]
         dtype = np.int16 if slot < 2 ** 15 else np.int32
         self.const_num, self.num = _split_constant(num, count, dtype)
         self.const_den, self.den = _split_constant(den, count, dtype)
@@ -204,10 +205,11 @@ _PLANS: dict[tuple, _Plan] = {}
 def _raise_pole(plan: _Plan, xs: tuple, size: np.ndarray, floor: float):
     """PoleError for the first term, then first factor, that uses a bad theta."""
     for term, index in enumerate(xs):
-        for label, run, per_term in plan.den_uses:
+        for factor, env, run, per_term in plan.den_uses:
             touched = run[:per_term[term]] if run is not None else (per_term[term],)
             for j, k in enumerate(touched):
                 if size[k] == 0.0 or size[k] < floor:
+                    label = factor.label(env)
                     what = label if run is None else f"theta factor {j} of {label}"
                     raise PoleError(what, near=bool(size[k]), index=index)
 
@@ -242,10 +244,14 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
     value_exps = np.frexp(size)[1]
     value_mant = values * np.ldexp(1.0, -value_exps)
     mant, exps = value_mant.tolist(), value_exps.tolist()
-    mant.append(complex(1.0))
-    exps.append(0)
-    for first, stop in plan.runs:  # (B)_k for k = 2 .. stop - first, kept normalised
+    for first, stop in plan.runs:  # a table per run: 1, theta(B), then running products
+        mant.append(1 + 0j)
+        exps.append(0)
+        if first == stop:
+            continue
         m, e = mant[first], exps[first]
+        mant.append(m)
+        exps.append(e)
         for k in range(first + 1, stop):
             m *= mant[k]
             e += exps[k]
@@ -260,7 +266,7 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
     c_mant = math.prod(map(get_m, plan.const_num)) / math.prod(map(get_m, plan.const_den))
     c_exp = sum(map(get_e, plan.const_num)) - sum(map(get_e, plan.const_den))
     if len(xs) >= NUMPY_TERMS:
-        # the slot arrays are the scaled values, then 1 and the run products;
+        # the slot arrays are the scaled values, then the run tables;
         # take() gathers with the int16 slot matrices without an intp copy
         mant = np.concatenate((value_mant, mant[len(values):]))
         exps = np.concatenate((value_exps, exps[len(values):]))

@@ -31,9 +31,9 @@ functions of the form f(w) = C theta(aw, a/w):
          + f(c) theta(bw, b/w)/theta(bc, b/c).
 
 Index enumeration is in a fixed total order so that runs replay
-identically.  The enumerators are generators over index tuples built on the
-first request for a (total, parts) or a box and kept, so a repeated domain
-costs a walk over a stored tuple.
+identically.  The enumerators check their arguments when called and return
+generators over index tuples built on the first request for a (total, parts)
+or a box and kept, so a repeated domain costs a walk over a stored tuple.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BalancingError, PoleError
-from .theta import EllipticNome, elliptic_pochhammer, ipow, theta
+from .theta import EllipticNome, _integer, elliptic_pochhammer, ipow, theta
 
 # ---------------------------------------------------------------------------
 # A-type ratio
@@ -174,17 +174,23 @@ def weierstrass_rhs(f_b: complex, f_c: complex, b: complex, c: complex,
 # ---------------------------------------------------------------------------
 
 
+def _sizes(total, parts) -> tuple[int, int]:
+    """(total, parts) as ints; ValueError unless total >= 0 and parts >= 1."""
+    total, parts = _integer(total, "total"), _integer(parts, "parts")
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    return total, parts
+
+
 def compositions_exact(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All x in Z_{>=0}^parts with sum(x) == total, first entry descending.
 
     Yields count = binom(total + parts - 1, parts - 1) tuples, each exactly
     once, in a stable total order.
     """
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    yield from _exact(total, parts)
+    return (x for x in _exact(*_sizes(total, parts)))
 
 
 @lru_cache(maxsize=256)
@@ -200,11 +206,7 @@ def compositions_bounded(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
     Count = binom(total + parts, parts).
     """
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    yield from _bounded(total, parts)
+    return (x for x in _bounded(*_sizes(total, parts)))
 
 
 @lru_cache(maxsize=256)
@@ -217,12 +219,12 @@ def box_indices(limits: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
     Count = prod(limits_i + 1).
     """
-    limits = tuple(limits)
+    limits = tuple(_integer(m, "box limit") for m in limits)
     if not limits:
         raise ValueError("limits must be nonempty")
     if any(m < 0 for m in limits):
         raise ValueError(f"limits must be >= 0, got {limits}")
-    yield from _box(limits)
+    return (x for x in _box(limits))
 
 
 @lru_cache(maxsize=256)

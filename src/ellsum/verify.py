@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from ._version import __version__
@@ -364,18 +364,7 @@ def _complex_json(value: complex) -> dict:
 
 
 def _config_json(config: SampleConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "modulus_range": list(config.modulus_range),
-        "p_values": [_complex_json(p) for p in config.p_values],
-        "q_range": list(config.q_range),
-        "pole_floor": config.pole_floor,
-        "condition_cap": config.condition_cap,
-        "max_resamples": config.max_resamples,
-        "min_z_separation": config.min_z_separation,
-        "truncation": {"epsilon": config.truncation.epsilon,
-                       "max_terms": config.truncation.max_terms},
-    }
+    return {**asdict(config), "p_values": [_complex_json(p) for p in config.p_values]}
 
 
 def _instance_json(instance: IdentityInstance) -> dict:
@@ -388,8 +377,7 @@ def _instance_json(instance: IdentityInstance) -> dict:
         "nome": {
             "p": _complex_json(instance.nome.p),
             "q": _complex_json(instance.nome.q),
-            "truncation": {"epsilon": instance.nome.truncation.epsilon,
-                           "max_terms": instance.nome.truncation.max_terms},
+            "truncation": asdict(instance.nome.truncation),
         },
     }
 
@@ -469,11 +457,12 @@ def run_bench(identity_id: str, *, n: int | None, N_values, config: SampleConfig
         terms = count_terms(instance)
         reps = 0
         t0 = time.perf_counter()
-        elapsed = 0.0
-        while elapsed < min_seconds:
+        while True:  # at least one evaluation, so seconds per evaluation is defined
             evaluate_lhs(instance)
             reps += 1
             elapsed = time.perf_counter() - t0
+            if elapsed >= min_seconds:
+                break
         seconds = elapsed / reps
         rows.append({"identity": identity_id, "n": n, "N": N, "terms": terms,
                      "seconds": seconds,

@@ -26,7 +26,8 @@ from ellsum import (
     solve_balancing,
     theta,
 )
-from ellsum.catalog import _bindings, _form, _monomial, _parse
+from ellsum import evaluate as evaluate_module
+from ellsum.catalog import Factor, _bindings, _form, _monomial, _parse
 from ellsum.evaluate import (
     _PLANS,
     DOMAINS,
@@ -289,10 +290,14 @@ def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
     exps = np.frexp(size)[1]
     mant = (values * np.ldexp(1.0, -exps)).tolist()
     exps = exps.tolist()
-    mant.append(complex(1.0))
-    exps.append(0)
     for first, stop in plan.runs:
+        mant.append(complex(1.0))
+        exps.append(0)
+        if first == stop:
+            continue
         m, e = mant[first], exps[first]
+        mant.append(m)
+        exps.append(e)
         for k in range(first + 1, stop):
             m *= mant[k]
             e += exps[k]
@@ -380,8 +385,27 @@ def test_pole_reported_with_index_and_description():
                            nome=nome, z=(0.7, 0.7))
     with pytest.raises(PoleError) as excinfo:
         evaluate_lhs(inst)
-    assert excinfo.value.index is not None
-    assert "theta" in excinfo.value.description
+    assert excinfo.value.index == (1, 0)
+    assert excinfo.value.description == "theta factor 0 of (z_0 / z_1)_(x_0)"
+    assert str(excinfo.value) == ("vanishing denominator theta factor 0 of "
+                                  "(z_0 / z_1)_(x_0) at index (1, 0)")
+    assert not excinfo.value.near
+
+
+def test_pole_free_plans_build_no_labels(monkeypatch):
+    # factor labels are text for PoleError only: a cold plan build without a
+    # pole formats none of them
+    def label(factor, env):
+        raise AssertionError(f"label of {factor} built without a pole")
+
+    monkeypatch.setattr(evaluate_module, "_PLANS", {})
+    monkeypatch.setattr(Factor, "label", label)
+    for identity_id in sorted(CATALOG):
+        for n, N in ((1, 1), (2, 2), (3, 1)):
+            inst = _grid_instance(identity_id, n, N)
+            evaluate_lhs(inst, pole_floor=1e-4)
+            evaluate_rhs(inst, pole_floor=1e-4)
+    assert len(evaluate_module._PLANS) > len(CATALOG)
 
 
 def test_unused_lattice_point_is_not_a_pole():

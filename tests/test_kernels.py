@@ -272,3 +272,8 @@ def test_enumerator_argument_validation():
         list(box_indices(()))
     with pytest.raises(ValueError):
         list(box_indices((1, -1)))
+    # checked at the call, before anything is iterated
+    for enumerate_, args in [(compositions_exact, (-1, 2)), (compositions_exact, (2.5, 2)),
+                             (compositions_bounded, (2, 1.5)), (box_indices, ((1.5, 1),))]:
+        with pytest.raises(ValueError):
+            enumerate_(*args)

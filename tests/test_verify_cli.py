@@ -284,6 +284,10 @@ def test_bench_reports_terms_per_second():
     assert row["terms"] == 165  # compositions of 8 into 4 parts
     assert 0 < row["seconds"] < 0.05
     assert row["terms_per_second"] == pytest.approx(165 / row["seconds"])
+    # with no time to fill, one evaluation is still timed
+    row, = run_bench("gr-sum", n=2, N_values=(1,), config=SampleConfig(), min_seconds=0)
+    assert row["terms"] == 2 and row["seconds"] > 0
+    assert row["terms_per_second"] == pytest.approx(2 / row["seconds"])
 
 
 # ---------------------------------------------------------------------------
