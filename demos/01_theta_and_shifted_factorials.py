@@ -10,15 +10,14 @@ import math
 
 from ellsum import (
     EllipticNome,
-    TruncationPolicy,
     elliptic_pochhammer,
     relative_error,
     theta,
 )
 
-# A nome bundles the deformation parameter p (|p| < 1), the shift base q,
-# and the truncation policy for the infinite product.
-nome = EllipticNome(p=0.15, q=0.5, truncation=TruncationPolicy())
+# A nome is the pair of the deformation parameter p (|p| < 1) and the
+# shift base q.
+nome = EllipticNome(p=0.15, q=0.5)
 print(f"nome: p = {nome.p}, q = {nome.q}")
 
 # theta(z) = prod (1 - p^j z)(1 - p^{j+1}/z).  It vanishes exactly on p^Z.

@@ -36,7 +36,6 @@ from .reductions import REDUCTION_KINDS, ReductionResult, reduction_check
 from .sampler import SampleConfig, rejection_report, sample_instance
 from .theta import (
     EllipticNome,
-    TruncationPolicy,
     elliptic_pochhammer,
     ipow,
     theta,
@@ -71,7 +70,6 @@ __all__ = [
     "ThetaDomainError",
     "TrialResult",
     "TruncationBudgetError",
-    "TruncationPolicy",
     "VerificationJob",
     "VerificationReport",
     "box_indices",

@@ -18,7 +18,7 @@ class ThetaDomainError(EllipticError):
 
 
 class TruncationBudgetError(EllipticError):
-    """The theta product did not reach its tail cutoff within max_terms factors."""
+    """The theta product needs more than theta.MAX_FACTORS factors to reach its tail cutoff."""
 
 
 class NonFiniteError(EllipticError):

@@ -53,10 +53,16 @@ from .theta import EllipticNome, _integer, elliptic_pochhammer, ipow, theta
 # ---------------------------------------------------------------------------
 
 
-def delta_ratio(z: Sequence[complex], x: Sequence[int], nome: EllipticNome) -> complex:
-    """Ratio of the shifted to the unshifted theta Vandermonde over (z, x)."""
+def _shifts(z: Sequence[complex], x: Sequence[int]) -> list[int]:
+    """x as ints, one per variable of z; ValueError otherwise."""
     if len(z) != len(x):
         raise ValueError(f"dimension mismatch: {len(z)} variables, {len(x)} indices")
+    return [_integer(v, f"x[{i}]") for i, v in enumerate(x)]
+
+
+def delta_ratio(z: Sequence[complex], x: Sequence[int], nome: EllipticNome) -> complex:
+    """Ratio of the shifted to the unshifted theta Vandermonde over (z, x)."""
+    x = _shifts(z, x)
     q = nome.q
     pairs = [(i, j) for i in range(len(z)) for j in range(i + 1, len(z))]
     ratios = [z[j] / z[i] for i, j in pairs]
@@ -72,8 +78,7 @@ def delta_ratio(z: Sequence[complex], x: Sequence[int], nome: EllipticNome) -> c
 
 def delta_ratio_alt(z: Sequence[complex], x: Sequence[int], nome: EllipticNome) -> complex:
     """The shifted-factorial form of delta_ratio (cross-check evaluator)."""
-    if len(z) != len(x):
-        raise ValueError(f"dimension mismatch: {len(z)} variables, {len(x)} indices")
+    x = _shifts(z, x)
     q = nome.q
     n = len(z)
     total = sum(x)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -43,7 +43,7 @@ import numpy as np
 from .catalog import IDENTITY_IDS, IdentityInstance, Shape, catalog_entry, solve_balancing
 from .errors import BalancingError, NonFiniteError, PoleError, ResampleExhaustedError
 from .evaluate import evaluate_lhs, evaluate_rhs
-from .theta import EllipticNome, TruncationPolicy, _integer
+from .theta import EllipticNome, _integer
 
 #: Allowed modulus window for a solved dependent parameter.
 DEPENDENT_MAGNITUDE_RANGE = (1e-6, 1e6)
@@ -64,7 +64,6 @@ class SampleConfig:
     condition_cap: float = 1e6
     max_resamples: int = 200
     min_z_separation: float = 0.05
-    truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
         for name in ("seed", "max_resamples"):
@@ -186,7 +185,7 @@ def _attempt(identity_id: str, shape: Shape, *, config: SampleConfig, p: complex
     values = _draws(rng, [tuple(map(math.log, config.q_range)),
                           *[modulus] * (len(free) + (shape.n or 0))])
     q = values[0]
-    nome = EllipticNome(p, q, config.truncation)
+    nome = EllipticNome(p, q)
 
     drawn = dict(zip(free, values[1:]))
 

@@ -13,11 +13,12 @@ theta vanishes exactly on z in p^Z, which is where every pole handled by
 the rest of the library ultimately comes from.
 
 Truncation contract: factors of the infinite product are included until
-both |p^j z| and |p^{j+1}/z| fall below the policy cutoff
-0.01 * epsilon * u (u = double-precision unit roundoff), so the neglected
-tail is below ~1e-18 relative for |p| <= 0.9 at the default epsilon.  The
-cutoff is argument-aware and deterministic: the same (z, p, policy) always
-multiplies the same factors.
+both |p^j z| and |p^{j+1}/z| fall below the fixed cutoff CUTOFF =
+0.01 * EPSILON * u = 1e-4 u (u = double-precision unit roundoff), so the
+neglected tail is below ~1e-18 relative for |p| <= 0.9.  The cutoff is
+argument-aware and deterministic: the same (z, p) always multiplies the
+same factors.  A product that needs more than MAX_FACTORS factors raises
+TruncationBudgetError, so |p| -> 1 fails instead of hanging.
 
 p = 0 short-circuits to the exact trigonometric value 1 - z and touches
 none of the truncation machinery.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +59,15 @@ from .errors import (
 
 #: Unit roundoff of IEEE double precision.
 UNIT_ROUNDOFF = 2.220446049250313e-16
+
+#: Scale of the tail cutoff.
+EPSILON = 0.01
+
+#: Most factors (1 - p^j z)(1 - p^(j+1)/z) one theta product may multiply.
+MAX_FACTORS = 1000
+
+#: Tail threshold on |p^j z| and |p^(j+1)/z|.
+CUTOFF = 0.01 * EPSILON * UNIT_ROUNDOFF
 
 
 def ipow(base: complex, exponent: int) -> complex:
@@ -91,32 +101,8 @@ def _integer(value, name: str) -> int:
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    """Deterministic cutoff rule for the theta product tail.
-
-    epsilon scales the tail cutoff (smaller = more factors); max_terms
-    bounds the number of factors per sub-product and turns |p| -> 1
-    non-convergence into an error instead of a hang.
-    """
-
-    epsilon: float = 0.01
-    max_terms: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if _integer(self.max_terms, "max_terms") < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-    @property
-    def cutoff(self) -> float:
-        """Tail threshold on |p^j z| and |p^{j+1}/z|."""
-        return 0.01 * self.epsilon * UNIT_ROUNDOFF
-
-
-@dataclass(frozen=True)
 class EllipticNome:
-    """The fixed pair (p, q) plus the truncation policy used by theta.
+    """The fixed pair (p, q).
 
     |p| < 1 is required; p = 0 is the permitted trigonometric degeneration.
     q only needs to be nonzero (the sums the library evaluates are finite).
@@ -124,7 +110,6 @@ class EllipticNome:
 
     p: complex
     q: complex
-    truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
         p = complex(self.p)
@@ -140,15 +125,15 @@ class EllipticNome:
 def _factor_counts(abs_z, nome: EllipticNome):
     """How many factors (1 - p^j z)(1 - p^(j+1)/z) the product multiplies for
     |z| = abs_z, a float or an array: j runs while |p^j z| or |p^(j+1)/z| is
-    at least the cutoff.  Raises TruncationBudgetError past max_terms."""
+    at least CUTOFF.  Raises TruncationBudgetError past MAX_FACTORS."""
     log_z = np.log(abs_z)
-    log_cut, log_inv_p = math.log(nome.truncation.cutoff), -math.log(abs(nome.p))
+    log_cut, log_inv_p = math.log(CUTOFF), -math.log(abs(nome.p))
     # the larger reach is at least -log_cut / log_inv_p - 1/2 > -1/2, so >= 0
     counts = np.floor(np.maximum(log_z - log_cut, -log_z - log_cut - log_inv_p)
                       / log_inv_p) + 1
-    if not counts.max() < nome.truncation.max_terms:  # NaN fails too
+    if not counts.max() < MAX_FACTORS:  # NaN fails too
         raise TruncationBudgetError(
-            f"theta product needs more than {nome.truncation.max_terms} factors "
+            f"theta product needs more than {MAX_FACTORS} factors "
             f"(|p| = {abs(nome.p):.6g}, |z| up to {np.max(abs_z):.6g})")
     return counts
 
@@ -175,7 +160,7 @@ def _block(p: complex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, comp
 
 
 def theta(z, nome: EllipticNome):
-    """Evaluate theta(z; p) under the nome's truncation policy.
+    """Evaluate theta(z; p), truncated as the module docstring states.
 
     z is an ndarray, evaluated elementwise into an array of its shape, or a
     complex scalar, evaluated as a batch of one and returned as a Python
@@ -238,8 +223,10 @@ def elliptic_pochhammer(z: complex, k: int, nome: EllipticNome) -> complex:
 
     For k < 0 a vanishing reciprocal factor raises PochhammerPoleError
     carrying the index of the offending factor, so callers can resample
-    around the pole instead of aborting.
+    around the pole instead of aborting.  A k that is not whole (2.5, NaN)
+    is a ValueError; 2.0 counts as 2.
     """
+    k = _integer(k, "k")
     z = complex(z)
     if z == 0:
         raise ThetaDomainError("(0)_k is undefined")

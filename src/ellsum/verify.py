@@ -41,7 +41,7 @@ from .catalog import IDENTITY_IDS, IdentityInstance, catalog_entry
 from .errors import ResampleExhaustedError
 from .evaluate import count_terms, evaluate_lhs, relative_error
 from .sampler import REJECTION_REASONS, SampleConfig, _sample_with_values, sample_instance
-from .theta import _integer
+from .theta import EPSILON, MAX_FACTORS, _integer
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "ellsum"
@@ -363,8 +363,13 @@ def _complex_json(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
+#: theta's fixed truncation rule, as the report records it.
+_TRUNCATION_JSON = {"epsilon": EPSILON, "max_terms": MAX_FACTORS}
+
+
 def _config_json(config: SampleConfig) -> dict:
-    return {**asdict(config), "p_values": [_complex_json(p) for p in config.p_values]}
+    return {**asdict(config), "p_values": [_complex_json(p) for p in config.p_values],
+            "truncation": _TRUNCATION_JSON}
 
 
 def _instance_json(instance: IdentityInstance) -> dict:
@@ -377,7 +382,7 @@ def _instance_json(instance: IdentityInstance) -> dict:
         "nome": {
             "p": _complex_json(instance.nome.p),
             "q": _complex_json(instance.nome.q),
-            "truncation": asdict(instance.nome.truncation),
+            "truncation": _TRUNCATION_JSON,
         },
     }
 
@@ -448,8 +453,10 @@ def run_bench(identity_id: str, *, n: int | None, N_values, config: SampleConfig
     """Time evaluate_lhs over growing N.
 
     Returns one row per N with the term count, seconds per evaluation and
-    terms per second.
+    terms per second.  min_seconds must be finite and >= 0.
     """
+    if not 0 <= min_seconds < float("inf"):  # NaN fails too: the loop below would not end
+        raise ValueError(f"min_seconds must be finite and >= 0, got {min_seconds}")
     rows = []
     for N in N_values:
         instance = sample_instance(identity_id, n=n, N=N, config=config,

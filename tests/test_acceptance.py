@@ -6,12 +6,12 @@ lines; plain `pytest` shows them for failing criteria only.
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 
 from ellsum import (
     SampleConfig,
-    TruncationPolicy,
     VerificationJob,
     evaluate_lhs,
     reduction_check,
@@ -32,6 +32,8 @@ from ellsum.selfcheck import (
 )
 
 SEED = 42
+
+theta_module = importlib.import_module("ellsum.theta")
 
 
 def _announce(number: int, name: str, passed: bool, detail: str):
@@ -133,18 +135,19 @@ def test_criterion_5_reduction_cross_checks():
               f"6 kinds x 25 trials, max residual {worst:.3e}")
 
 
-def test_criterion_6_trigonometric_degeneration():
+def test_criterion_6_trigonometric_degeneration(monkeypatch):
     # p = 0 cells must pass, and must be bit-identical when the truncation
-    # machinery is crippled (max_terms = 1): the p = 0 path never touches it.
-    base = VerificationJob(
+    # machinery is crippled (its factor count raises): the p = 0 path never
+    # touches it.
+    def crippled(*args):
+        raise AssertionError("the p = 0 path reached theta's truncation code")
+
+    job = VerificationJob(
         identities="all", trials=25, tolerance=1e-8,
         config=SampleConfig(seed=SEED, p_values=(0.0,)))
-    crippled = VerificationJob(
-        identities="all", trials=25, tolerance=1e-8,
-        config=SampleConfig(seed=SEED, p_values=(0.0,),
-                            truncation=TruncationPolicy(epsilon=0.5, max_terms=1)))
-    report_a = run_job(base)
-    report_b = run_job(crippled)
+    report_a = run_job(job)
+    monkeypatch.setattr(theta_module, "_factor_counts", crippled)
+    report_b = run_job(job, jobs=1)  # worker processes would not see the patch
 
     def comparable(report):
         data = report_to_dict(report)

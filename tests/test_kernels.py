@@ -71,6 +71,15 @@ def test_delta_ratio_mismatched_lengths():
         delta_ratio((0.7, 1.2), (1,), nome(0.1))
 
 
+@pytest.mark.parametrize("kernel", [delta_ratio, delta_ratio_alt])
+def test_delta_ratio_shifts_must_be_whole(kernel):
+    z, n = (0.7, 1.2, 0.4), nome(0.2, 0.7)
+    assert kernel(z, (2.0, 0.0, 1.0), n) == kernel(z, (2, 0, 1), n)
+    for bad in (2.5, math.nan):
+        with pytest.raises(ValueError, match=r"x\[1\] must be an integer"):
+            kernel(z, (2, bad, 0), n)
+
+
 def test_ratio_equivalence_seeded():
     result = check_ratio_equivalence(100, seed=3)
     assert result.passed, result.line()

@@ -16,6 +16,7 @@ from ellsum import (
     rejection_report,
     run_job,
     sample_instance,
+    solve_balancing,
 )
 from ellsum import sampler
 from ellsum.catalog import Shape
@@ -96,6 +97,30 @@ def test_resample_exhaustion_reports_histogram():
     histogram = excinfo.value.histogram
     assert sum(histogram.values()) == 5
     assert histogram["condition"] > 0
+
+
+@pytest.mark.parametrize("reason, pole_floor, pinned", [
+    ("pole", 1e3, None),  # no denominator is that far from zero
+    ("magnitude", 1e-4, {"a": 1e-200}),  # the solve underflows to e = 0
+])
+def test_every_draw_rejected_for_one_reason(reason, pole_floor, pinned, monkeypatch):
+    solve_errors = []
+
+    def solve(*args, **kwargs):
+        try:
+            return solve_balancing(*args, **kwargs)
+        except BalancingError as exc:
+            solve_errors.append(str(exc))
+            raise
+    monkeypatch.setattr(sampler, "solve_balancing", solve)
+    config = SampleConfig(seed=1, pole_floor=pole_floor, max_resamples=3)
+    with pytest.raises(ResampleExhaustedError) as excinfo:
+        sample_instance("frenkel-turaev", N=2, p=0.2, trial_index=0, config=config,
+                        pinned=pinned)
+    assert excinfo.value.histogram == {**dict.fromkeys(sampler.REJECTION_REASONS, 0),
+                                       reason: 3}
+    expected = ["frenkel-turaev: constraint forces e = 0"] * 3 if reason == "magnitude" else []
+    assert solve_errors == expected
 
 
 def test_config_validation():

@@ -18,7 +18,6 @@ from ellsum import (
     PochhammerPoleError,
     ThetaDomainError,
     TruncationBudgetError,
-    TruncationPolicy,
     elliptic_pochhammer,
     ipow,
     relative_error,
@@ -29,8 +28,8 @@ from ellsum.theta import _BLOCK, _block, _factor_counts
 theta_module = importlib.import_module("ellsum.theta")
 
 
-def nome(p, q=0.5, **policy):
-    return EllipticNome(p, q, TruncationPolicy(**policy) if policy else TruncationPolicy())
+def nome(p, q=0.5):
+    return EllipticNome(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +69,8 @@ def test_theta_zero_argument_allowed_trigonometric():
 
 
 def test_theta_truncation_budget():
-    tight = EllipticNome(0.99, 0.5, TruncationPolicy(max_terms=5))
-    with pytest.raises(TruncationBudgetError):
-        theta(0.7, tight)
+    with pytest.raises(TruncationBudgetError, match="more than 1000 factors"):
+        theta(0.7, nome(0.99))
 
 
 def test_theta_deterministic_for_fixed_policy():
@@ -85,22 +83,19 @@ def test_nome_validation():
         EllipticNome(1.0, 0.5)
     with pytest.raises(ValueError):
         EllipticNome(0.2, 0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(epsilon=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(max_terms=0)
     for p, q in ((math.nan, 0.5), (complex(0.1, math.nan), 0.5), (0.2, math.nan),
                  (0.2, math.inf)):
         with pytest.raises(ValueError):
             EllipticNome(p, q)
-    for max_terms in (math.nan, 2.5):
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_terms=max_terms)
 
 
 # ---------------------------------------------------------------------------
 # batched theta
 # ---------------------------------------------------------------------------
+
+
+def _unreachable(*args):
+    raise AssertionError("the truncation code was reached")
 
 
 def _arguments(count, seed=7):
@@ -192,16 +187,18 @@ def test_theta_array_keeps_its_shape(shape, p):
     assert value.ravel().tolist() == theta(z.ravel(), nome(p)).tolist()
 
 
-def test_theta_batch_trigonometric_is_exactly_one_minus_z():
+def test_theta_batch_trigonometric_is_exactly_one_minus_z(monkeypatch):
+    # p = 0 never reaches the truncation code
+    monkeypatch.setattr(theta_module, "_factor_counts", _unreachable)
     z = np.append(_arguments(50), 0.0)
-    batch = theta(z, nome(0.0, max_terms=1))
+    batch = theta(z, nome(0.0))
     assert np.array_equal(batch, 1.0 - z)
     assert batch.tolist() == [1.0 - zk for zk in z.tolist()]
 
 
 def test_theta_batch_truncation_budget():
     with pytest.raises(TruncationBudgetError):
-        theta(np.array([0.7, 0.5j]), EllipticNome(0.99, 0.5, TruncationPolicy(max_terms=5)))
+        theta(np.array([0.7, 0.5j]), nome(0.99))
     with pytest.raises(TruncationBudgetError):
         theta(np.array([0.7]), nome(0.9999999))
 
@@ -290,6 +287,15 @@ def test_pochhammer_pole_reports_factor_index():
         elliptic_pochhammer(0.6, -1, n)
     assert excinfo.value.factor_index == -1
     assert excinfo.value.shift == -1
+
+
+def test_pochhammer_shift_must_be_whole():
+    n = nome(0.2, 0.6)
+    for k in (2, -2):
+        assert elliptic_pochhammer(0.7, float(k), n) == elliptic_pochhammer(0.7, k, n)
+    for bad in (2.5, math.nan):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            elliptic_pochhammer(0.7, bad, n)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,16 @@ def test_bench_reports_terms_per_second():
     assert row["terms_per_second"] == pytest.approx(2 / row["seconds"])
 
 
+@pytest.mark.parametrize("min_seconds", [float("nan"), float("inf"), -1.0])
+def test_bench_rejects_unreachable_min_seconds(min_seconds, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking min_seconds")
+    monkeypatch.setattr(verify_module, "sample_instance", no_sampling)
+    with pytest.raises(ValueError, match="min_seconds must be finite and >= 0"):
+        run_bench("gr-sum", n=2, N_values=(1,), config=SampleConfig(),
+                  min_seconds=min_seconds)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -494,6 +504,18 @@ def test_cli_bad_numbers_exit_2(flags, line, tmp_path, capsys):
     config.write_text(f"identities = gr-sum\nn = 1\nN = 0\ntrials = 1\n{line}\n")
     assert cli_main(["verify", "--config", str(config), *flags]) == 2
     assert "ellsum:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, line, message", [
+    (["--trials", "abc"], "", "bad value for trials: 'abc'"),
+    ([], "seed = x", "bad value for seed: 'x'"),
+    (["--out", "missing/report.json"], "", "i/o error writing report"),
+])
+def test_cli_verify_usage_errors_exit_2(flags, line, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the directory "missing" does not exist
+    Path("job.cfg").write_text(f"identities = gr-sum\nn = 1\nN = 0\ntrials = 1\n{line}\n")
+    assert cli_main(["verify", "--config", "job.cfg", *flags]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_p_near_one_exits_2_with_truncation_message(capsys):
