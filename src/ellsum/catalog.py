@@ -1,11 +1,11 @@
 """Registry of the eleven summation/transformation identities, written in
 one factor language that this module documents and reads.
 
-Each catalog entry records the identity's arity (scalar truncation level N,
-z-vector with scalar N, z-vector with per-coordinate box limits, or z-vector
-only), its scalar parameter names in a fixed order, its balancing
-constraint(s) and its two sides, so one _register call shows the constraint
-next to both sides.  catalog_entry is the one lookup of an id.
+Each catalog entry records the identity's scalar parameter names in a fixed
+order, its balancing constraint(s) and its two sides, so one _register call
+shows the constraint next to both sides.  The left side's summation domain
+gives its arity: scalar-N for 0<=x<=N, vector-box (box limits N_1..N_n) for
+x<=N_i, vector-only for |x|=1, else vector-N.  catalog_entry looks up an id.
 
 A constraint is display text, an equation between products of powers:
 
@@ -29,7 +29,9 @@ n mod 2.  A factor string reads
 
 where a base is a monomial in the parameters, q, Z, lam and z_i, z_j
 ("a q^(N+1) / e z_i") and a shift an integer form in |x|, x_i, x_j, N, N_i,
-N_j ("|x|-x_i", "x_i*x_j").
+N_j ("|x|-x_i", "x_i*x_j").  Side.factors(n) reads a side once per n, its
+z indices bound: "1/theta(z_j / z_i) for i<j" at n = 3 is 1/theta(z_1 / z_0),
+1/theta(z_2 / z_0), 1/theta(z_2 / z_1).
 
 The arity decides the index shape an instance carries, and only
 CatalogEntry.shape decides it: it maps a request (n, N, box) to the Shape
@@ -45,7 +47,7 @@ the order the CLI lists them (`ellsum list` prints each constraint).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Mapping, NamedTuple
@@ -66,17 +68,16 @@ VECTOR_ONLY = "vector-only"  # z-vector, no truncation level
 # The reader of the factor language (see the module docstring).
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factor:
     kind: str  # "theta", "poch" or "pow"
-    base: str
-    shift: str
+    base: str  # a monomial such as 'a q^(N+1) / e z_2'
+    shift: str  # an integer form such as '|x|-x_2'
     den: bool
-    over: str  # "", "i", "i<j", "i!=j" or "i,j"
 
-    def label(self, env) -> str:
+    def label(self) -> str:
         text = {"theta": "theta({0}; {1})", "poch": "({0})_({1})", "pow": "({0})^({1})"}
-        return _bind(text[self.kind].format(self.base, self.shift), env)
+        return text[self.kind].format(self.base, self.shift)
 
 
 _FACTOR = r"(1/)?(theta)?\((.*)\)([_^]?)(\S*)(?: for (\S+))?$"
@@ -89,13 +90,14 @@ def _bind(text: str, env: dict) -> str:
     return re.sub(r"_([ij])\b", lambda m: f"_{env[m.group(1)]}", text)
 
 
-def _parse(text: str) -> list[Factor]:
+def _parse(text: str, n: int) -> list[Factor]:
+    """A factor string's factors for n variables: one per base and binding."""
     den, is_theta, inner, mark, shift, over = re.match(_FACTOR, text).groups()
     kind = "theta" if is_theta else "poch" if mark == "_" else "pow"
     if is_theta:
         inner, _, shift = inner.partition("; ")
-    return [Factor(kind, base.strip(), shift or "0", bool(den), over or "")
-            for base in inner.split(",")]
+    return [Factor(kind, _bind(base.strip(), env), _bind(shift or "0", env), bool(den))
+            for base in inner.split(",") for env in _bindings(over, n)]
 
 
 def _form(text: str, env: dict):
@@ -112,17 +114,16 @@ def _form(text: str, env: dict):
 
 
 def _monomial(text: str, env: dict) -> dict[str, int]:
-    """{name: exponent} of a base such as 'a q^(N+1) / e z_i', z indices bound."""
+    """{name: exponent} of a base such as 'a q^(N+1) / e z_2'."""
     out: dict[str, int] = {}
     numerator, _, denominator = text.partition("/")
     for sign, part in ((1, numerator), (-1, denominator)):
         for name, power in re.findall(_TOKEN, part):
-            key = _bind(name, env)
-            out[key] = out.get(key, 0) + sign * (_form(power, env) if power else 1)
+            out[name] = out.get(name, 0) + sign * (_form(power, env) if power else 1)
     return {k: e for k, e in out.items() if e}
 
 
-def _bindings(over: str, n: int) -> list[dict]:
+def _bindings(over: str | None, n: int) -> list[dict]:
     if not over:
         return [{}]
     if over == "i":
@@ -174,6 +175,15 @@ class Side:
     common: tuple[str, ...]
     odd: tuple[str, ...] = ()
     even: tuple[str, ...] = ()
+    _read: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def factors(self, n: int) -> tuple[Factor, ...]:
+        """Factors for n variables (1 if scalar): the common strings, then
+        n's parity branch; read once per n, then kept."""
+        if n not in self._read:
+            texts = (*self.common, *(self.odd if n % 2 else self.even))
+            self._read[n] = tuple(f for text in texts for f in _parse(text, n))
+        return self._read[n]
 
 
 def spread_box(n: int, total: int) -> tuple[int, ...]:
@@ -212,11 +222,15 @@ class CatalogEntry:
 
     identity_id: str
     label: str
-    arity: str
     params: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     sides: tuple[Side, Side]  # (left, right)
     lambda_rule: str | None = None  # "bcd" or "bde": lambda = a^2 q / (...)
+
+    @cached_property
+    def arity(self) -> str:  # read from the left side's summation domain
+        return {"0<=x<=N": SCALAR_N, "x<=N_i": VECTOR_BOX,
+                "|x|=1": VECTOR_ONLY}.get(self.sides[0].domain, VECTOR_N)
 
     @property
     def constraint_text(self) -> str:
@@ -282,7 +296,6 @@ def _register(entry: CatalogEntry):
 _register(CatalogEntry(
     identity_id="frenkel-turaev",
     label="one-variable elliptic Jackson summation",
-    arity=SCALAR_N,
     params=("a", "b", "c", "d", "e"),
     constraints=(Constraint("a^2 q^(N+1) = b c d e", "e"),),
     sides=(
@@ -294,7 +307,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="elliptic-bailey",
     label="one-variable elliptic Bailey transformation",
-    arity=SCALAR_N,
     params=("a", "b", "c", "d", "e", "f", "g"),
     constraints=(Constraint("a^3 q^(N+2) = b c d e f g", "g"),),
     lambda_rule="bcd",
@@ -314,7 +326,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="rs-jackson",
     label="multivariable Jackson summation over a box of indices",
-    arity=VECTOR_BOX,
     params=("a", "b", "c", "d", "e"),
     constraints=(Constraint("a^2 q^(|N|+1) = b c d e", "e"),),
     sides=(
@@ -333,7 +344,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="theta-lemma",
     label="n-point theta function identity",
-    arity=VECTOR_ONLY,
     params=("b1", "b2", "b3", "b4"),
     constraints=(Constraint("b1 b2 b3 b4 Z^2 = 1", "b4"),),
     sides=(
@@ -348,7 +358,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="gr-sum",
     label="Gustafson-Rakha-type summation over |x| = N",
-    arity=VECTOR_N,
     params=("b1", "b2", "b3", "b4"),
     constraints=(Constraint("q^(N-1) b1 b2 b3 b4 Z^2 = 1", "b4"),),
     sides=(
@@ -363,7 +372,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="gr-corollary",
     label="Gustafson-Rakha-type summation over |x| <= N",
-    arity=VECTOR_N,
     params=("a", "b1", "b2", "b3", "b4"),
     constraints=(Constraint("a^2 q^(N+1) = b1 b2 b3 b4 Z^2", "b4"),),
     sides=(
@@ -382,7 +390,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="bt-transform",
     label="multivariable Bailey transformation (lambda = a^2 q/bcd)",
-    arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "f", "g"),
     constraints=(Constraint("a^3 q^(N+2) = b c d e f g Z^2", "g"),),
     lambda_rule="bcd",
@@ -408,7 +415,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="bc-transform",
     label="multivariable Bailey transformation (lambda = a^2 q/bde)",
-    arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "f", "g"),
     constraints=(Constraint("a^3 q^(N+2) = b c d e f g Z^2", "g"),),
     lambda_rule="bde",
@@ -436,7 +442,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="njc-jackson",
     label="inverted multivariable Jackson summation",
-    arity=VECTOR_N,
     params=("a", "b", "c", "d", "e"),
     constraints=(Constraint("a^2 q^(N+1) = b c d e Z^2", "e"),),
     sides=(
@@ -457,7 +462,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="jts-jackson",
     label="multivariable Jackson summation with free spectator t",
-    arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "t"),
     constraints=(Constraint("a^2 q^(N+1) = b c d e Z^2", "e"),),
     sides=(
@@ -476,7 +480,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     identity_id="general-jackson",
     label="two-constraint multivariable Jackson summation",
-    arity=VECTOR_N,
     params=("a", "b", "c", "d", "e", "f", "g", "h", "t"),
     constraints=(
         Constraint("a^2 q^(N+1) = b c d e", "e"),

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import IdentityInstance, Side, _bindings, _form, _monomial, _parse
+from .catalog import IdentityInstance, Side, _form, _monomial
 from .errors import NonFiniteError, PoleError
 from .kernels import box_indices, compositions_bounded, compositions_exact
 from .theta import EllipticNome, theta
@@ -111,31 +111,26 @@ class _Plan:
         x = np.array(xs, dtype=np.int64).reshape(count, -1)
         if not x.size:  # the empty index of a closed side is x = 0
             x = np.zeros((count, n), dtype=np.int64)
+        env = {"|x|": x.sum(axis=1), "N": inst.level, **{f"x_{k}": x[:, k] for k in range(n)}}
+        env.update({f"N_{k}": limit for k, limit in enumerate(inst.box or ())})
         bases: dict[tuple, int] = {}  # monomial -> index; q apart for theta arguments
-        uses = []  # (factor, env, base, q offset, shift per term)
+        uses = []  # (factor, base, q offset, shift per term)
         pows: dict[int, np.ndarray] = {}  # base -> total exponent per term
-        for factor in (f for text in (*side.common, *(side.odd if n % 2 else side.even))
-                       for f in _parse(text)):
-            for binding in _bindings(factor.over, n):
-                env = {"|x|": x.sum(axis=1), "N": inst.level, **binding}
-                for key, index in binding.items():
-                    env[f"x_{key}"] = x[:, index]
-                    if inst.box is not None:
-                        env[f"N_{key}"] = inst.box[index]
-                mono = _monomial(factor.base, env)
-                shift = np.broadcast_to(_form(factor.shift, env), (count,))
-                offset = 0 if factor.kind == "pow" else mono.pop("q", 0)
-                key = tuple(sorted((symbols[name], e) for name, e in mono.items()))
-                b = bases.setdefault(key, len(bases))
-                if factor.kind == "pow":
-                    pows[b] = pows.get(b, 0) + (-shift if factor.den else shift)
-                else:
-                    uses.append((factor, env, b, offset, shift))
+        for factor in side.factors(n):
+            mono = _monomial(factor.base, env)
+            shift = np.broadcast_to(_form(factor.shift, env), (count,))
+            offset = 0 if factor.kind == "pow" else mono.pop("q", 0)
+            key = tuple(sorted((symbols[name], e) for name, e in mono.items()))
+            b = bases.setdefault(key, len(bases))
+            if factor.kind == "pow":
+                pows[b] = pows.get(b, 0) + (-shift if factor.den else shift)
+            else:
+                uses.append((factor, b, offset, shift))
 
         # theta arguments B q^j: exactly those some term multiplies
         needed: dict[int, set] = {}
         lengths: dict[tuple, int] = {}  # (base, q offset) -> longest shifted factorial
-        for factor, _, b, offset, shift in uses:
+        for factor, b, offset, shift in uses:
             if factor.kind == "poch":
                 lengths[b, offset] = max(lengths.get((b, offset), 0), int(shift.max()))
                 needed.setdefault(b, set()).update(range(offset, offset + lengths[b, offset]))
@@ -163,7 +158,7 @@ class _Plan:
             tables[b, offset], slot = slot, slot + length + 1
 
         num, den, den_args, self.den_uses = [], [], set(), []
-        for factor, env, b, offset, shift in uses:
+        for factor, b, offset, shift in uses:
             if factor.kind == "poch":
                 run, slots = runs[b, offset], tables[b, offset] + shift
                 touched, per_term = run[:int(shift.max())], shift
@@ -173,12 +168,12 @@ class _Plan:
             if factor.den:
                 den_args.update(touched)
                 if detail:  # what _raise_pole reads to name the factor and term
-                    self.den_uses.append((factor, env, run, per_term))
+                    self.den_uses.append((factor, run, per_term))
             (den if factor.den else num).append(slots)
         num += [np.array([pow_slot[b, k] for k in e.tolist()])
                 for b, e in pows.items() if np.any(e)]
         self.den_args = np.array(sorted(den_args), dtype=np.intp)
-        self.runs = [(r.start, r.stop) for r in runs.values()]
+        self.runs = [k for r in runs.values() for k in (r.start, r.stop)]  # flat pairs
         dtype = np.int16 if slot < 2 ** 15 else np.int32
         self.const_num, self.num = _split_constant(num, count, dtype)
         self.const_den, self.den = _split_constant(den, count, dtype)
@@ -205,11 +200,11 @@ _PLANS: dict[tuple, _Plan] = {}
 def _raise_pole(plan: _Plan, xs: tuple, size: np.ndarray, floor: float):
     """PoleError for the first term, then first factor, that uses a bad theta."""
     for term, index in enumerate(xs):
-        for factor, env, run, per_term in plan.den_uses:
+        for factor, run, per_term in plan.den_uses:
             touched = run[:per_term[term]] if run is not None else (per_term[term],)
             for j, k in enumerate(touched):
                 if size[k] == 0.0 or size[k] < floor:
-                    label = factor.label(env)
+                    label = factor.label()
                     what = label if run is None else f"theta factor {j} of {label}"
                     raise PoleError(what, near=bool(size[k]), index=index)
 
@@ -244,7 +239,8 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
     value_exps = np.frexp(size)[1]
     value_mant = values * np.ldexp(1.0, -value_exps)
     mant, exps = value_mant.tolist(), value_exps.tolist()
-    for first, stop in plan.runs:  # a table per run: 1, theta(B), then running products
+    bounds = iter(plan.runs)
+    for first, stop in zip(bounds, bounds):  # a table per run: 1, theta(B), then products
         mant.append(1 + 0j)
         exps.append(0)
         if first == stop:

@@ -83,8 +83,8 @@ class VerificationJob:
             raise ValueError(f"N values must be >= 0 and not empty, got {self.N_values}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.tolerance >= 0:  # NaN fails too
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not 0 <= self.tolerance < float("inf"):  # NaN fails too
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if self.output_format not in ("json", "table"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

@@ -10,6 +10,8 @@ import importlib
 import json
 import time
 
+import pytest
+
 from ellsum import (
     SampleConfig,
     VerificationJob,
@@ -194,3 +196,22 @@ def test_criterion_8_report_determinism():
     passed = first == second == parallel
     _announce(8, "report determinism", passed,
               f"{len(first)} bytes, serial and parallel reruns identical")
+
+
+@pytest.mark.slow
+def test_wide_grid_passes():
+    # every identity at n 1..6, N 0..8 and the default p values, 5 trials per
+    # cell: 456 shapes (9 per scalar identity, 6 for theta-lemma, 54 for each
+    # of the other 8) times 3 p values make 1,368 cells and 6,840 trials.  A
+    # failure here is a program defect: never shrink the grid to pass it.
+    job = VerificationJob(identities="all", n_values=tuple(range(1, 7)),
+                          N_values=tuple(range(9)), trials=5, tolerance=1e-8,
+                          config=SampleConfig(seed=SEED, condition_cap=1e6))
+    report = run_job(job)
+    worst = _report_max_error(report)
+    assert report.verdict == "pass", worst
+    assert len(report.cells) == 1368
+    assert len(report.trials) == 6840
+    assert sum(cell["trials"] for cell in report.cells) == 6840
+    assert all(trial.status == "pass" for trial in report.trials)
+    assert worst <= 1e-8

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from ellsum import (
@@ -9,11 +11,15 @@ from ellsum import (
     CATALOG,
     EllipticNome,
     IDENTITY_IDS,
+    SampleConfig,
     relative_error,
+    sample_instance,
     solve_balancing,
 )
 from ellsum import catalog as catalog_module
+from ellsum import evaluate as evaluate_module
 from ellsum.catalog import Constraint
+from ellsum.evaluate import DOMAINS, EvalContext, _sum_terms
 
 
 NOME = EllipticNome(0.1, 0.5)
@@ -73,6 +79,30 @@ def test_constraint_text_read_once(monkeypatch):
     inst = solve_balancing("gr-sum", {"b1": 0.3, "b2": 0.4, "b3": 0.5},
                            nome=NOME, z=(0.7, 1.1), N=2)
     assert max(inst.constraint_residuals()) <= 1e-13
+
+
+@pytest.mark.parametrize("identity_id", ["gr-corollary", "rs-jackson"])
+def test_side_text_read_once_per_n(identity_id, monkeypatch):
+    # fresh copies of the sides start unread; their plans at n = 3 for four
+    # levels N (four boxes for rs-jackson) read each factor string once
+    insts = [sample_instance(identity_id, n=3, N=N, config=SampleConfig(seed=5),
+                             trial_index=0, p=0.2) for N in range(4)]
+    read = []
+    parse = catalog_module._parse
+
+    def counted(text, *n):
+        read.append(text)
+        return parse(text, *n)
+    # wherever the reader is imported, its calls are counted
+    monkeypatch.setattr(catalog_module, "_parse", counted)
+    monkeypatch.setattr(evaluate_module, "_parse", counted, raising=False)
+    monkeypatch.setattr(evaluate_module, "_PLANS", {})
+    sides = [dataclasses.replace(side) for side in CATALOG[identity_id].sides]
+    for inst in insts:
+        for side in sides:
+            _sum_terms(EvalContext(inst.nome), inst, DOMAINS[side.domain], side)
+    assert len(evaluate_module._PLANS) == 4 * len(sides)
+    assert sorted(read) == sorted(text for side in sides for text in (*side.common, *side.odd))
 
 
 def test_constraint_exponents_other_than_q_must_not_depend_on_N():

@@ -27,7 +27,7 @@ from ellsum import (
     theta,
 )
 from ellsum import evaluate as evaluate_module
-from ellsum.catalog import Factor, _bindings, _form, _monomial, _parse
+from ellsum.catalog import Factor, _form, _monomial
 from ellsum.evaluate import (
     _PLANS,
     DOMAINS,
@@ -225,29 +225,25 @@ def _reference_side(side, inst) -> tuple[complex, float]:
     n = len(inst.z) if inst.z is not None else 1
     symbols = {name: k for k, name in enumerate(_symbol_names(inst))}
     values = _symbol_values(inst)
-    texts = (*side.common, *(side.odd if n % 2 else side.even))
     terms = []
     for x in DOMAINS[side.domain](inst):
         x = (x,) if isinstance(x, int) else tuple(x) or (0,) * n
+        env = {"|x|": sum(x), "N": inst.level, **{f"x_{k}": v for k, v in enumerate(x)}}
+        if inst.box is not None:
+            env.update({f"N_{k}": limit for k, limit in enumerate(inst.box)})
         term = complex(1.0)
-        for factor in (f for text in texts for f in _parse(text)):
-            for binding in _bindings(factor.over, n):
-                env = {"|x|": sum(x), "N": inst.level, **binding}
-                for key, index in binding.items():
-                    env[f"x_{key}"] = x[index]
-                    if inst.box is not None:
-                        env[f"N_{key}"] = inst.box[index]
-                base = complex(1.0)
-                for name, power in _monomial(factor.base, env).items():
-                    base *= ipow(values[symbols[name]], power)
-                shift = _form(factor.shift, env)
-                if factor.kind == "theta":
-                    value = theta(base * ipow(nome.q, shift), nome)
-                elif factor.kind == "poch":
-                    value = elliptic_pochhammer(base, shift, nome)
-                else:
-                    value = ipow(base, shift)
-                term = term / value if factor.den else term * value
+        for factor in side.factors(n):
+            base = complex(1.0)
+            for name, power in _monomial(factor.base, env).items():
+                base *= ipow(values[symbols[name]], power)
+            shift = _form(factor.shift, env)
+            if factor.kind == "theta":
+                value = theta(base * ipow(nome.q, shift), nome)
+            elif factor.kind == "poch":
+                value = elliptic_pochhammer(base, shift, nome)
+            else:
+                value = ipow(base, shift)
+            term = term / value if factor.den else term * value
         terms.append(term)
     total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return total, max(map(abs, terms))
@@ -297,7 +293,8 @@ def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
     exps = np.frexp(size)[1]
     mant = (values * np.ldexp(1.0, -exps)).tolist()
     exps = exps.tolist()
-    for first, stop in plan.runs:
+    bounds = iter(plan.runs)
+    for first, stop in zip(bounds, bounds):
         mant.append(complex(1.0))
         exps.append(0)
         if first == stop:
@@ -402,7 +399,7 @@ def test_pole_reported_with_index_and_description():
 def test_pole_free_plans_build_no_labels(monkeypatch):
     # factor labels are text for PoleError only: a cold plan build without a
     # pole formats none of them
-    def label(factor, env):
+    def label(factor):
         raise AssertionError(f"label of {factor} built without a pole")
 
     monkeypatch.setattr(evaluate_module, "_PLANS", {})

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ellsum import (
+    IDENTITY_IDS,
     SampleConfig,
     VerificationJob,
     report_to_dict,
@@ -308,8 +309,13 @@ def test_bench_rejects_unreachable_min_seconds(min_seconds, monkeypatch):
 def test_cli_list_prints_eleven(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
-    ids = [line.split()[0] for line in out.splitlines() if line and not line.startswith(" ")]
-    assert len(ids) == 11
+    rows = [line.split()[:2] for line in out.splitlines() if line and not line.startswith(" ")]
+    assert len(rows) == 11
+    # each arity is read from the left side's summation domain
+    arity = {"frenkel-turaev": "scalar-N", "elliptic-bailey": "scalar-N",
+             "rs-jackson": "vector-box", "theta-lemma": "vector-only"}
+    assert rows == [[identity_id, f"[{arity.get(identity_id, 'vector-N')}]"]
+                    for identity_id in IDENTITY_IDS]
 
 
 def test_cli_verify_pass(capsys, tmp_path):
@@ -488,7 +494,7 @@ def test_cli_bench_bad_input_exits_2(flags, capsys):
 @pytest.mark.parametrize("field, value", [
     ("tolerance", float("nan")), ("tolerance", -1e-8), ("n_values", ()), ("N_values", ()),
     ("n_values", (1.5,)), ("N_values", (0.7,)), ("N_values", (float("nan"),)),
-    ("trials", 2.5), ("trials", float("inf"))])
+    ("trials", 2.5), ("trials", float("inf")), ("tolerance", float("inf"))])
 def test_job_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError):
         small_job(**{field: value})
@@ -497,7 +503,8 @@ def test_job_rejects_bad_numbers(field, value):
 @pytest.mark.parametrize("flags, line", [
     (["--tol", "nan"], ""), ([], "condition-cap = -1"), ([], "condition-cap = nan"),
     ([], "min-z-separation = nan"), ([], "pole-floor = nan"), ([], "q-range = nan,1.5"),
-    ([], "modulus-range = 0.2,nan"), (["--p", "nan"], ""),
+    ([], "modulus-range = 0.2,nan"), (["--p", "nan"], ""), (["--tol", "inf"], ""),
+    ([], "tolerance = inf"),
 ])
 def test_cli_bad_numbers_exit_2(flags, line, tmp_path, capsys):
     config = tmp_path / "job.cfg"
