@@ -46,6 +46,7 @@ the order the CLI lists them (`ellsum list` prints each constraint).
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -620,15 +621,15 @@ def solve_balancing(identity_id: str, partial: Mapping[str, complex], *,
     Z = instance.Z if z is not None else complex(1.0)
     for constraint in entry.constraints:
         # the monomial with the dependent set to 1 is its inverse when it enters
-        # with exponent 1, itself when -1; the residual check catches the rest
+        # with exponent 1 (infinite for 0), itself when -1; the residual check catches the rest
         rest = constraint.monomial({**params, constraint.dependent: 1.0}, nome.q, level, Z)
-        value = 1.0 / rest if constraint.dependent_exponent == 1 else rest
-        if value == 0:
+        value = (1.0 / rest if rest else cmath.inf) if constraint.dependent_exponent == 1 else rest
+        if value == 0 or not cmath.isfinite(value):
             raise BalancingError(
-                f"{identity_id}: constraint forces {constraint.dependent} = 0")
+                f"{identity_id}: constraint forces {constraint.dependent} = {value or 0}")
         params[constraint.dependent] = value
     residuals = _residuals(entry, params, nome.q, level, Z)
-    if max(residuals) > CONSTRAINT_RESIDUAL_TOL:
+    if not max(residuals) <= CONSTRAINT_RESIDUAL_TOL:  # NaN fails too
         raise BalancingError(
             f"{identity_id}: constraint residual {max(residuals):.3e} "
             f"exceeds {CONSTRAINT_RESIDUAL_TOL}")

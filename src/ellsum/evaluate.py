@@ -14,9 +14,10 @@ runs in three steps:
     math.fsum on the real and imaginary parts; numpy gathers large sums,
     Python small ones.
 
-Assembly is range-safe: every value is carried as a mantissa of modulus in
-[1/2, 1) and a separate binary exponent, so a product of a hundred factors
-near 1e200 neither overflows nor underflows; only the sum returns to a float.
+Assembly is range-safe: each theta value and power is split once into a
+mantissa of modulus in [1/2, 1) and a binary exponent, and tables and terms
+multiply mantissas and add exponents.  k mantissas multiply to above 2^-k
+(the wide grid's longest product has 250), so only the sum returns to a float.
 
 A draw is rejected for a pole when some term uses a denominator theta
 factor of modulus below the pole floor (or zero); PoleError names the factor
@@ -163,7 +164,8 @@ class _Plan:
                 run, slots = runs[b, offset], tables[b, offset] + shift
                 touched, per_term = run[:int(shift.max())], shift
             else:
-                run, slots = None, np.array([arg_of[b, offset + s] for s in shift.tolist()])
+                start, stop = np.searchsorted(self.arg_base, (b, b + 1))  # B's args, by q offset
+                run, slots = None, start + np.searchsorted(self.arg_q[start:stop], offset + shift)
                 touched = per_term = slots.tolist()
             if factor.den:
                 den_args.update(touched)
@@ -251,9 +253,6 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
         for k in range(first + 1, stop):
             m *= mant[k]
             e += exps[k]
-            if abs(m) < 0.5:
-                m *= 2.0
-                e -= 1
             mant.append(m)
             exps.append(e)
 

@@ -8,8 +8,8 @@ parameter comes from solve_balancing.  A draw is rejected and retried when
   * pairwise z ratios sit closer than min_z_separation to the zero set
     p^Z of theta (exactly where the A-type denominators vanish)
     -> reason "separation",
-  * the solved dependent parameter has modulus outside [1e-6, 1e6]
-    -> reason "magnitude",
+  * the solve fails, or the solved dependent parameter has modulus outside
+    [1e-6, 1e6] -> reason "magnitude",
   * the cancellation ratio max|term| / |sum| of either side exceeds
     condition_cap, or a side overflows -> reason "condition".
 
@@ -236,7 +236,11 @@ def _sample_with_values(identity_id: str, *, n=None, N=None, box=None,
                         p: complex | None = None,
                         pinned: Mapping[str, PinnedValue] | None = None):
     """Sampling loop; returns (instance, lhs, rhs, condition, histogram)."""
-    shape = catalog_entry(identity_id).shape(n, N, box)
+    entry = catalog_entry(identity_id)
+    shape = entry.shape(n, N, box)
+    stray = sorted(set(pinned) - set(entry.free_params)) if pinned else ()  # no draw could pass
+    if stray:
+        raise BalancingError(f"{identity_id}: pinned {stray} are not free parameters")
     p = complex(config.p_values[0] if p is None else p)
     rng = _rng_for(config, identity_id, shape, trial_index, p)
     histogram = dict.fromkeys(REJECTION_REASONS, 0)
@@ -258,9 +262,9 @@ def sample_instance(identity_id: str, *, n=None, N=None, box=None,
     """Deterministically sample one gated instance of an identity.
 
     The result is a pure function of (config, identity_id, n, N/box,
-    trial_index, p).  The request (n, N, box) is resolved by
-    CatalogEntry.shape first, so a bad one raises BalancingError (ValueError
-    for a value that is not whole, as for trial_index) before any draw.
+    trial_index, p).  A bad request (n, N, box) or a pin of no free parameter
+    raises BalancingError (ValueError for a value that is not whole, as for
+    trial_index) before any draw.
     Raises ResampleExhaustedError with the rejection histogram when
     max_resamples draws all fail a gate.
     """

@@ -28,14 +28,15 @@ blocks of 32 factors (1 - p^j z)(1 - p^{j+1}/z), one column per argument;
 any other argument is a batch of one, returned as a Python complex.  Each
 argument stops at its own factor count, and the factors past it are
 exactly 1: they are skipped, not multiplied.  A block takes only the
-arguments whose count reaches it and only the rows below the largest count
-among them, and it multiplies the rows pairwise as it would all 32, so a
-value does not depend on which other arguments share its batch.  (Against
-the full block, where the skipped factors are multiplied as 1 + 0i, a value
-on the real or imaginary axis can differ in the sign of its zero part.)  A
-block's tables (the columns p^j and p^(j+1) and the row indices j) depend
-on p alone: they are built on first use, by repeated multiplication, and
-kept.  Callers that need several thetas pass them in one array.
+arguments whose count reaches it (a slice when all do) and only the rows
+below the largest count among them, multiplies the rows pairwise as it
+would all 32 and writes back through that one selection, so a value does
+not depend on which other arguments share its batch.  (Against the full
+block, where the skipped factors are multiplied as 1 + 0i, a value on the
+real or imaginary axis can differ in the sign of its zero part.)  A block's
+tables (the columns p^j and p^(j+1) and the row indices j) depend on p
+alone: they are built on first use, by repeated multiplication, and kept.
+Callers that need several thetas pass them in one array.
 
 A non-finite argument raises NonFiniteError at p != 0 (at p = 0 the value
 1 - z is returned as it is).
@@ -186,13 +187,10 @@ def theta(z, nome: EllipticNome):
         powers, next_powers, rows, _ = _block(p, start // _BLOCK)
         # Factors past an argument's count are exactly 1, so they are not
         # multiplied: the block takes the arguments whose count exceeds its
-        # first row, stores rows up to the largest count and masks rows from
-        # the smallest count on.
-        if low > start:
-            take, zs, inv_zs, ends = None, z, inv_z, counts
-        else:
-            take = np.flatnonzero(counts > start)
-            zs, inv_zs, ends = z[take], inv_z[take], counts[take]
+        # first row (a slice when all do), stores rows up to the largest
+        # count and masks rows from the smallest count on.
+        take = slice(None) if low > start else np.flatnonzero(counts > start)
+        zs, inv_zs, ends = z[take], inv_z[take], counts[take]
         stored = min(_BLOCK, top - start)
         factors = (1.0 - powers[:stored] * zs) * (1.0 - next_powers[:stored] * inv_zs)
         first = int(ends.min()) - start
@@ -209,10 +207,7 @@ def theta(z, nome: EllipticNome):
                 factors = (product if pairs == half
                            else np.concatenate((product, factors[pairs:half])))
             half //= 2
-        if take is None:
-            result = factors[0] if start == 0 else result * factors[0]
-        else:
-            result[take] = factors[0] if start == 0 else result[take] * factors[0]
+        result[take] = factors[0] if start == 0 else result[take] * factors[0]
     if not np.isfinite(result).all():
         raise NonFiniteError("theta overflowed")
     return result

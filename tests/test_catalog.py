@@ -163,6 +163,17 @@ def test_zero_parameter_rejected():
                         nome=NOME, N=1)
 
 
+@pytest.mark.parametrize("identity_id, partial, shape", [
+    # b1 b2 underflow to 0, so b4 = 1 / (... b1 b2 b3) is infinite
+    ("theta-lemma", {"b1": 1e-200, "b2": 1e-200, "b3": 0.5}, {"z": (0.7, 1.1)}),
+    # b c underflow to 0 and e comes out NaN
+    ("frenkel-turaev", {"a": 0.5, "b": 1e-200, "c": 1e-200, "d": 0.5}, {"N": 2}),
+])
+def test_dependent_past_the_double_range_rejected(identity_id, partial, shape):
+    with pytest.raises(BalancingError, match="constraint forces"):
+        solve_balancing(identity_id, partial, nome=EllipticNome(0.2, 0.5), **shape)
+
+
 def test_unknown_identity_rejected():
     with pytest.raises(BalancingError, match="unknown identity"):
         solve_balancing("nope", {}, nome=NOME, N=1)

@@ -335,10 +335,10 @@ def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
 
 @pytest.mark.parametrize("identity_id", sorted(CATALOG))
 def test_assembly_equals_the_list_reference(identity_id):
-    # bit for bit, on sides gathered with numpy (n 3-4, N 5) and in Python
-    # (n 1-2, N 0-1)
+    # bit for bit, on sides gathered with numpy (n 3-4, N 5; n 6, N 8, where
+    # the wide grid's longest products are) and in Python (n 1-2, N 0-1)
     paths = set()
-    requests = [(n, 5, 0.2) for n in (3, 4)]
+    requests = [(n, 5, 0.2) for n in (3, 4)] + [(6, 8, 0.2)]
     requests += [(n, N, p) for n in (1, 2) for N in (0, 1) for p in (0.0, 0.2)]
     for n, N, p in requests:
         inst = sample_instance(identity_id, n=n, N=N, config=CONFIG, trial_index=0, p=p)

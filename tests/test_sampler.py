@@ -123,6 +123,16 @@ def test_every_draw_rejected_for_one_reason(reason, pole_floor, pinned, monkeypa
     assert solve_errors == expected
 
 
+@pytest.mark.parametrize("pins", [{"e": 0.5}, {"zz": 0.5}, {"a": 0.5, "e": 0.5}])
+def test_pin_of_no_free_parameter_rejected_before_any_draw(pins, monkeypatch):
+    # e is frenkel-turaev's dependent and zz no parameter at all: no draw
+    # could pass, so this is a bad request, not 200 "magnitude" rejections
+    monkeypatch.setattr(sampler, "_draws", None)
+    with pytest.raises(BalancingError, match=r"\['(e|zz)'\] are not free"):
+        sample_instance("frenkel-turaev", N=2, config=SampleConfig(seed=1),
+                        trial_index=0, p=0.2, pinned=pins)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(modulus_range=(0.0, 1.0))

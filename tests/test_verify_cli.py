@@ -335,6 +335,17 @@ def test_cli_verify_negative_control(capsys):
     assert code == 1
 
 
+def test_cli_verify_counts_a_dependent_past_the_double_range_as_magnitude(capsys):
+    # q = 1e-300 underflows gr-sum's constraint monomial to 0: every draw is
+    # rejected, and the report says so instead of a traceback
+    code = cli_main(["verify", "--identity", "gr-sum", "--n", "2", "--N", "3",
+                     "--p", "0", "--trials", "1", "--q-range", "1e-300,1e-300"])
+    assert code == 1
+    trial, = json.loads(capsys.readouterr().out)["trials"]
+    assert trial["status"] == "resample-exhausted"
+    assert trial["rejections"]["magnitude"] == 200
+
+
 def test_cli_rejects_negative_N(capsys):
     assert cli_main(["verify", "--identity", "gr-sum", "--N", "-1"]) == 2
 
