@@ -17,6 +17,7 @@ from .errors import (
     NonFiniteError,
     PochhammerPoleError,
     PoleError,
+    ProductBudgetError,
     ResampleExhaustedError,
     ThetaDomainError,
     TruncationBudgetError,
@@ -63,6 +64,7 @@ __all__ = [
     "NonFiniteError",
     "PochhammerPoleError",
     "PoleError",
+    "ProductBudgetError",
     "REDUCTION_KINDS",
     "ReductionResult",
     "ResampleExhaustedError",

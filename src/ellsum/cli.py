@@ -39,7 +39,7 @@ from dataclasses import fields
 
 from ._version import __version__
 from .catalog import CATALOG, IDENTITY_IDS
-from .errors import BalancingError, EllipticError, TruncationBudgetError
+from .errors import BalancingError, EllipticError, ProductBudgetError, TruncationBudgetError
 from .sampler import SampleConfig
 from .selfcheck import run_all
 from .verify import (
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else 2
     try:
         return args.func(args)
-    except (UsageError, TruncationBudgetError) as exc:  # |p| too close to 1
+    except (UsageError, TruncationBudgetError, ProductBudgetError) as exc:  # |p| near 1, N large
         print(f"ellsum: {exc}", file=sys.stderr)
         return 2
     except EllipticError as exc:

@@ -21,6 +21,10 @@ class TruncationBudgetError(EllipticError):
     """The theta product needs more than theta.MAX_FACTORS factors to reach its tail cutoff."""
 
 
+class ProductBudgetError(EllipticError):
+    """A term would multiply evaluate.MAX_PRODUCT or more mantissas, past the double range."""
+
+
 class NonFiniteError(EllipticError):
     """An operation produced NaN or an overflowed infinity."""
 

@@ -16,8 +16,9 @@ runs in three steps:
 
 Assembly is range-safe: each theta value and power is split once into a
 mantissa of modulus in [1/2, 1) and a binary exponent, and tables and terms
-multiply mantissas and add exponents.  k mantissas multiply to above 2^-k
-(the wide grid's longest product has 250), so only the sum returns to a float.
+multiply mantissas and add exponents; only the sum returns to a float.  k
+mantissas multiply to above 2^-k, so a plan refuses a term of MAX_PRODUCT or
+more ((B)_s counts s) with ProductBudgetError; the wide grid's longest has 250.
 
 A draw is rejected for a pole when some term uses a denominator theta
 factor of modulus below the pole floor (or zero); PoleError names the factor
@@ -34,12 +35,14 @@ from typing import Callable
 import numpy as np
 
 from .catalog import IdentityInstance, Side, _form, _monomial
-from .errors import NonFiniteError, PoleError
+from .errors import NonFiniteError, PoleError, ProductBudgetError
 from .kernels import box_indices, compositions_bounded, compositions_exact
 from .theta import EllipticNome, theta
 
 #: Sums with at least this many terms are gathered with numpy, fewer in Python.
 NUMPY_TERMS = 12
+#: A term may multiply fewer mantissas than this: 2^-MAX_PRODUCT is still normal.
+MAX_PRODUCT = 1000
 
 
 class EvalContext:
@@ -138,8 +141,11 @@ class _Plan:
             else:
                 needed.setdefault(b, set()).update((offset + shift).tolist())
         args = [(b, j) for b in sorted(needed) for j in sorted(needed[b])]
-        arg_of = {key: k for k, key in enumerate(args)}
         self.arg_base, self.arg_q = np.array(args, dtype=np.intp).reshape(-1, 2).T.copy()
+
+        def arg_index(b, q_offsets):  # B's args sit together, sorted by q offset
+            start, stop = np.searchsorted(self.arg_base, (b, b + 1))
+            return start + np.searchsorted(self.arg_q[start:stop], q_offsets)
         powers = sorted({(b, k) for b, e in pows.items() for k in set(e.tolist())})
         # monomials to evaluate: every base, then every power B^k the terms use
         monomials = list(bases)
@@ -153,10 +159,12 @@ class _Plan:
         # arguments B, Bq, .. Bq^(K-1): (B)_0 = 1, (B)_1 = theta(B), .. (B)_K
         pow_slot = {key: len(args) + k for k, key in enumerate(powers)}
         slot, tables, runs = len(args) + len(powers), {}, {}
+        weight = [1] * slot  # mantissas a slot multiplies: s for (B)_s
         for (b, offset), length in sorted(lengths.items()):  # a run's args are contiguous
-            first = arg_of.get((b, offset), 0)
+            first = int(arg_index(b, offset))
             runs[b, offset] = range(first, first + length)
             tables[b, offset], slot = slot, slot + length + 1
+            weight += range(length + 1)
 
         num, den, den_args, self.den_uses = [], [], set(), []
         for factor, b, offset, shift in uses:
@@ -164,8 +172,7 @@ class _Plan:
                 run, slots = runs[b, offset], tables[b, offset] + shift
                 touched, per_term = run[:int(shift.max())], shift
             else:
-                start, stop = np.searchsorted(self.arg_base, (b, b + 1))  # B's args, by q offset
-                run, slots = None, start + np.searchsorted(self.arg_q[start:stop], offset + shift)
+                run, slots = None, arg_index(b, offset + shift)
                 touched = per_term = slots.tolist()
             if factor.den:
                 den_args.update(touched)
@@ -174,6 +181,12 @@ class _Plan:
             (den if factor.den else num).append(slots)
         num += [np.array([pow_slot[b, k] for k in e.tolist()])
                 for b, e in pows.items() if np.any(e)]
+        longest = max(np.take(weight, np.array(c, np.intp).reshape(len(c), count)).sum(axis=0)
+                      .max(initial=0) for c in (num, den))
+        if longest >= MAX_PRODUCT:
+            raise ProductBudgetError(
+                f"{inst.identity_id} at n={inst.n}, N={inst.box or inst.N}: a term multiplies "
+                f"{longest} theta values and powers, limit {MAX_PRODUCT}; take a smaller N")
         self.den_args = np.array(sorted(den_args), dtype=np.intp)
         self.runs = [k for r in runs.values() for k in (r.start, r.stop)]  # flat pairs
         dtype = np.int16 if slot < 2 ** 15 else np.int32

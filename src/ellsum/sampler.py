@@ -14,7 +14,8 @@ parameter comes from solve_balancing.  A draw is rejected and retried when
     condition_cap, or a side overflows -> reason "condition".
 
 Other errors propagate, such as the TruncationBudgetError of a p too close
-to 1: that is a bad configuration, not a bad draw.
+to 1 or the ProductBudgetError of an N too large: that is a bad
+configuration, not a bad draw.
 
 Randomness comes from numpy's PCG64 bit generator.  Each trial derives its
 own stream from SeedSequence entropy built out of (seed, catalog index of

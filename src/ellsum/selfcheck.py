@@ -70,8 +70,9 @@ class PropertyResult:
 def _suite(name: str, stream: int, samples: int, tolerance: float):
     """Make a property suite check(samples, seed, tolerance, **options) ->
     PropertyResult from trial(rng, index, **options), which returns the
-    (value, expected) pairs of sample number index, or None to reject the
-    draw.  Each suite draws from its own PCG64 stream."""
+    (value, expected) pairs of sample number index, or rejects the draw by
+    returning None or raising EllipticError.  Each suite draws from its own
+    PCG64 stream."""
     def wrap(trial):
         def check(samples: int = samples, seed: int = 0,
                   tolerance: float = tolerance, **options) -> PropertyResult:
@@ -82,7 +83,10 @@ def _suite(name: str, stream: int, samples: int, tolerance: float):
             for _ in range(100 * samples):
                 if done == samples:
                     break
-                pairs = trial(rng, done, **options)
+                try:
+                    pairs = trial(rng, done, **options)
+                except EllipticError:
+                    continue
                 if pairs is None:
                     continue
                 for value, expected in pairs:
@@ -126,12 +130,9 @@ def check_shift_addition(rng, _):
     a = _draw(rng, 0.3, 1.3)
     m = int(rng.integers(-6, 7))
     k = int(rng.integers(-6, 7))
-    try:
-        left = elliptic_pochhammer(a, m + k, nome)
-        right = (elliptic_pochhammer(a, m, nome)
-                 * elliptic_pochhammer(a * ipow(q, m), k, nome))
-    except EllipticError:
-        return None
+    left = elliptic_pochhammer(a, m + k, nome)
+    right = (elliptic_pochhammer(a, m, nome)
+             * elliptic_pochhammer(a * ipow(q, m), k, nome))
     scale = max(abs(left), abs(right))
     if scale < 1e-8 or scale > 1e8:  # keep the comparison well scaled
         return None
@@ -147,16 +148,13 @@ def check_negative_shift(rng, _):
     m = int(rng.integers(0, 6))
     k = int(rng.integers(0, m + 1))
     w = ipow(q, 1 - m) / a
-    try:
-        left = elliptic_pochhammer(a, m - k, nome)
-        den = elliptic_pochhammer(w, k, nome)
-        if den == 0:
-            return None
-        sign = -1.0 if k % 2 else 1.0
-        right = (sign * ipow(q, math.comb(k, 2)) * ipow(w, k)
-                 * elliptic_pochhammer(a, m, nome) / den)
-    except EllipticError:
+    left = elliptic_pochhammer(a, m - k, nome)
+    den = elliptic_pochhammer(w, k, nome)
+    if den == 0:
         return None
+    sign = -1.0 if k % 2 else 1.0
+    right = (sign * ipow(q, math.comb(k, 2)) * ipow(w, k)
+             * elliptic_pochhammer(a, m, nome) / den)
     scale = max(abs(left), abs(right))
     if scale < 1e-8 or scale > 1e8:
         return None
@@ -184,10 +182,7 @@ def check_trigonometric_limit(rng, _):
     z = _draw(rng, 1e-3, 1e3)
     exact = float(theta(z, nome) == 1.0 - z)  # error 1 unless exact
     k = int(rng.integers(-6, 7))
-    try:
-        value = elliptic_pochhammer(z, k, nome)
-    except EllipticError:
-        return None
+    value = elliptic_pochhammer(z, k, nome)
     oracle = complex(1.0)
     for j in range(min(k, 0), max(k, 0)):
         oracle *= 1.0 - z * ipow(q, j)
@@ -224,10 +219,7 @@ def check_ratio_equivalence(rng, _, *, max_n: int = 5, max_weight: int = 8):
     z = _draw_clear_vector(rng, n, q, p, max(x))  # the shifts delta_ratio takes
     if z is None:
         return None
-    try:
-        return [(delta_ratio(z, x, nome), delta_ratio_alt(z, x, nome))]
-    except EllipticError:
-        return None
+    return [(delta_ratio(z, x, nome), delta_ratio_alt(z, x, nome))]
 
 
 @_suite("balanced partial-fraction sum", 8, samples=500, tolerance=1e-10)
@@ -252,11 +244,8 @@ def check_balanced_sum(rng, _, *, max_n: int = 5):
     ) and 1e-3 < abs(last) < 1e3
     if not clear:
         return None
-    try:
-        left, largest = _tpf_sum(zs, bs, t, nome)
-        right = tpf_rhs(zs, bs, t, nome)
-    except EllipticError:
-        return None
+    left, largest = _tpf_sum(zs, bs, t, nome)
+    right = tpf_rhs(zs, bs, t, nome)
     # gate out catastrophic cancellation between the sum's terms;
     # the property under test is the identity, not float heroics
     scale = max(abs(left), abs(right))
@@ -279,10 +268,7 @@ def check_interpolation(rng, _):
         return left * right
 
     f_b, f_c = f(b), f(c)
-    try:
-        value = weierstrass_rhs(f_b, f_c, b, c, w, nome)
-    except EllipticError:
-        return None
+    value = weierstrass_rhs(f_b, f_c, b, c, w, nome)
     # interpolation nodes are exact (one term vanishes, the other is u/u)
     return [(value, f(w)),
             (weierstrass_rhs(f_b, f_c, b, c, b, nome), f_b),

@@ -14,6 +14,7 @@ from ellsum import (
     CATALOG,
     EllipticNome,
     PoleError,
+    ProductBudgetError,
     SampleConfig,
     VerificationJob,
     elliptic_pochhammer,
@@ -373,6 +374,22 @@ def test_large_N_trials_pass(identity_id, n, N, trial, seed):
     result, = (r for r in report.trials
                if (r.identity_id, r.n, r.trial_index) == (identity_id, n, trial))
     assert result.status == "pass", result.relative_error
+
+
+def test_term_past_the_double_range_is_refused():
+    # at p = 0 frenkel-turaev's terms multiply about 6N (left) and 4N (right)
+    # mantissas of modulus in [1/2, 1), so a product could fall below 2^-1000
+    # and lose bits or flush to 0; a plan refuses a side at MAX_PRODUCT
+    nome = EllipticNome(0.0, 0.5)
+    params = {"a": 0.6 + 0.1j, "b": 0.7, "c": 0.8 - 0.2j, "d": 1.3}
+    inst = solve_balancing("frenkel-turaev", params, nome=nome, N=166)  # 998 on the left
+    assert relative_error(evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]) < 1e-14
+    with pytest.raises(ProductBudgetError, match="N=167: a term multiplies 1004 .* limit 1000"):
+        evaluate_lhs(solve_balancing("frenkel-turaev", params, nome=nome, N=167))
+    inst = solve_balancing("frenkel-turaev", params, nome=nome, N=320)
+    for evaluate in (evaluate_lhs, evaluate_rhs):  # without the limit: overflow, 0.75-0.25j
+        with pytest.raises(ProductBudgetError):
+            evaluate(inst)
 
 
 def test_relative_error_contract():

@@ -346,6 +346,15 @@ def test_cli_verify_counts_a_dependent_past_the_double_range_as_magnitude(capsys
     assert trial["rejections"]["magnitude"] == 200
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--identity", "frenkel-turaev", "--N", "320", "--p", "0", "--trials", "1"],
+    ["bench", "--identity", "frenkel-turaev", "--N", "320", "--p", "0"],
+])
+def test_cli_N_past_the_product_limit_exits_2(command, capsys):
+    assert cli_main(command) == 2
+    assert "limit 1000; take a smaller N" in capsys.readouterr().err
+
+
 def test_cli_rejects_negative_N(capsys):
     assert cli_main(["verify", "--identity", "gr-sum", "--N", "-1"]) == 2
 
