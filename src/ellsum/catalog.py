@@ -47,6 +47,7 @@ the order the CLI lists them (`ellsum list` prints each constraint).
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -538,19 +539,14 @@ class IdentityInstance:
     def Z(self) -> complex:
         if self.z is None:
             raise AttributeError(f"{self.identity_id} has no variable vector")
-        value = complex(1.0)
-        for zi in self.z:
-            value *= zi
-        return value
+        return math.prod(self.z, start=complex(1.0))
 
     @property
     def lam(self) -> complex:
         rule = self.entry.lambda_rule
         if rule is None:
             raise AttributeError(f"{self.identity_id} has no lambda parameter")
-        denom = complex(1.0)
-        for name in rule:
-            denom *= self.params[name]
+        denom = math.prod(map(self.params.__getitem__, rule), start=complex(1.0))
         a = self.params["a"]
         return a * a * self.nome.q / denom
 

@@ -5,11 +5,12 @@ in the factor language that catalog documents and reads.  An evaluation
 runs in three steps:
 
   * plan (built on first use, then cached): per (side, indices, N or box),
-    every theta argument B q^j some term multiplies, one table per shifted
-    factorial built from them, and each term's slots (as Python lists too,
-    for a small sum);
+    every theta argument B q^j some term multiplies, each shifted
+    factorial's run of them as a row of a padded gather, and each term's
+    slots (as Python lists too, for a small sum);
   * batch: all theta arguments of the side in one vectorised call, then
-    each table (B)_0 .. (B)_K: 1, theta(B), then a running product;
+    (B)_2 .. (B)_K of every run in one accumulate along the gathered rows;
+    (B)_0 is one shared exact 1 and (B)_1 is theta(B)'s own slot;
   * assemble: gather each term from the tables and sum the terms with
     math.fsum on the real and imaginary parts; numpy gathers large sums,
     Python small ones.
@@ -19,6 +20,9 @@ mantissa of modulus in [1/2, 1) and a binary exponent, and tables and terms
 multiply mantissas and add exponents; only the sum returns to a float.  k
 mantissas multiply to above 2^-k, so a plan refuses a term of MAX_PRODUCT or
 more ((B)_s counts s) with ProductBudgetError; the wide grid's longest has 250.
+The gather rows are at least 3 wide, padded with the 1: numpy's accumulate
+along rows of width 2 can round differently from Python's running product,
+and at width 1 and 3 or more it matches it bit for bit, as the tests check.
 
 A draw is rejected for a pole when some term uses a denominator theta
 factor of modulus below the pole floor (or zero); PoleError names the factor
@@ -104,8 +108,9 @@ def _symbol_values(inst: IdentityInstance) -> list[complex]:
 class _Plan:
     """Everything about a side's evaluation that does not depend on values.
 
-    A term's (B)_s is slot table + s of its run's table.  Only a plan built
-    with detail keeps den_uses, which _raise_pole reads to name a pole.
+    A term's (B)_s reads the shared 1, theta(B)'s slot or, for s >= 2, its
+    run's row of the accumulated gather `tables`.  Only a plan built with
+    detail keeps den_uses, which _raise_pole reads to name a pole.
     """
 
     def __init__(self, side: Side, inst: IdentityInstance, xs: tuple, detail=False):
@@ -155,21 +160,23 @@ class _Plan:
         self.mono_sym, self.mono_exp = np.moveaxis(padded.reshape(len(monomials), width, 2), 2, 0)
         self.base_count = len(bases)
 
-        # value slots: theta values, powers, then one table per run of theta
-        # arguments B, Bq, .. Bq^(K-1): (B)_0 = 1, (B)_1 = theta(B), .. (B)_K
+        # value slots: theta values, powers, the 1, then per run B, .. Bq^(K-1)
+        # (contiguous args) with K >= 2 the running products of its row in `tables`
         pow_slot = {key: len(args) + k for k, key in enumerate(powers)}
-        slot, tables, runs = len(args) + len(powers), {}, {}
-        weight = [1] * slot  # mantissas a slot multiplies: s for (B)_s
-        for (b, offset), length in sorted(lengths.items()):  # a run's args are contiguous
-            first = int(arg_index(b, offset))
-            runs[b, offset] = range(first, first + length)
-            tables[b, offset], slot = slot, slot + length + 1
-            weight += range(length + 1)
+        one = len(args) + len(powers)
+        runs = {key: range(f := int(arg_index(*key)), f + k) for key, k in sorted(lengths.items())}
+        long = [key for key, run in runs.items() if len(run) > 1]
+        width = max([3, *lengths.values()])
+        table = {key: one + r * width for r, key in enumerate(long)}  # (B)_s is table[B] + s
+        gather = [[*runs[key], *[one] * (width - len(runs[key]))] for key in long]
+        weight = [1] * one + [0] + list(range(1, width + 1)) * len(long)  # s for (B)_s
 
         num, den, den_args, self.den_uses = [], [], set(), []
         for factor, b, offset, shift in uses:
             if factor.kind == "poch":
-                run, slots = runs[b, offset], tables[b, offset] + shift
+                run = runs[b, offset]
+                slots = np.where(shift > 1, table.get((b, offset), 0) + shift,
+                                 np.where(shift == 1, run.start, one))
                 touched, per_term = run[:int(shift.max())], shift
             else:
                 run, slots = None, arg_index(b, offset + shift)
@@ -188,8 +195,8 @@ class _Plan:
                 f"{inst.identity_id} at n={inst.n}, N={inst.box or inst.N}: a term multiplies "
                 f"{longest} theta values and powers, limit {MAX_PRODUCT}; take a smaller N")
         self.den_args = np.array(sorted(den_args), dtype=np.intp)
-        self.runs = [k for r in runs.values() for k in (r.start, r.stop)]  # flat pairs
-        dtype = np.int16 if slot < 2 ** 15 else np.int32
+        dtype = np.int16 if len(weight) < 2 ** 15 else np.int32
+        self.tables = np.array(gather, dtype).reshape(len(gather), width)
         self.const_num, self.num = _split_constant(num, count, dtype)
         self.const_den, self.den = _split_constant(den, count, dtype)
         # a small sum gathers in Python, from per-term slot lists
@@ -245,52 +252,43 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
     monomials = np.multiply.reduce(symbols[plan.mono_sym] ** plan.mono_exp, axis=1)
     bases = monomials[:plan.base_count]
     values = np.concatenate((ctx.theta(bases[plan.arg_base] * ctx.q ** plan.arg_q),
-                             monomials[plan.base_count:]))
+                             monomials[plan.base_count:], [1.0]))
     size = np.abs(values)
     if plan.den_args.size:
         low = size[plan.den_args].min()
         if low == 0.0 or low < ctx.pole_floor:
             _raise_pole(_Plan(side, inst, xs, detail=True), xs, size, ctx.pole_floor)
-    value_exps = np.frexp(size)[1]
-    value_mant = values * np.ldexp(1.0, -value_exps)
-    mant, exps = value_mant.tolist(), value_exps.tolist()
-    bounds = iter(plan.runs)
-    for first, stop in zip(bounds, bounds):  # a table per run: 1, theta(B), then products
-        mant.append(1 + 0j)
-        exps.append(0)
-        if first == stop:
-            continue
-        m, e = mant[first], exps[first]
-        mant.append(m)
-        exps.append(e)
-        for k in range(first + 1, stop):
-            m *= mant[k]
-            e += exps[k]
-            mant.append(m)
-            exps.append(e)
+    exps = np.frexp(size)[1]
+    mant = values * np.ldexp(1.0, -exps)
+    mant[-1], exps[-1] = 1.0, 0  # every (B)_0: an exact 1, not frexp's 0.5 * 2
+    tables = plan.tables
+    if tables.size:  # (B)_1 .. (B)_K: running products along each padded row
+        mant = np.concatenate((mant, np.multiply.accumulate(mant.take(tables), axis=1).ravel()))
+        exps = np.concatenate((exps, np.add.accumulate(exps.take(tables), axis=1).ravel()))
 
     # assemble: gather, scale every term to the largest exponent, fsum
-    get_m, get_e = mant.__getitem__, exps.__getitem__
-    c_mant = math.prod(map(get_m, plan.const_num)) / math.prod(map(get_m, plan.const_den))
-    c_exp = sum(map(get_e, plan.const_num)) - sum(map(get_e, plan.const_den))
+    shared, split = plan.const_num + plan.const_den, len(plan.const_num)
     if len(xs) >= NUMPY_TERMS:
-        # the slot arrays are the scaled values, then the run tables;
         # take() gathers with the int16 slot matrices without an intp copy
-        mant = np.concatenate((value_mant, mant[len(values):]))
-        exps = np.concatenate((value_exps, exps[len(values):]))
         m = mant.take(plan.num).prod(axis=1) / mant.take(plan.den).prod(axis=1)
         e = exps.take(plan.num).sum(axis=1) - exps.take(plan.den).sum(axis=1)
         top = int(e[m != 0].max(initial=0))  # exponents of zero terms are arbitrary
         terms = m * np.ldexp(1.0, e - top)
         re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
         largest = float(np.abs(terms).max())
-    else:
+        c_m, c_e = mant.take(shared).tolist(), exps.take(shared).tolist()
+    else:  # a small sum gathers in Python, from lists
+        get_m, get_e = mant.tolist().__getitem__, exps.tolist().__getitem__
         m = [math.prod(map(get_m, a)) / math.prod(map(get_m, b)) for a, b in plan.rows]
         e = [sum(map(get_e, a)) - sum(map(get_e, b)) for a, b in plan.rows]
         top = max((k for v, k in zip(m, e) if v), default=0)
         terms = [v * math.ldexp(1.0, k - top) for v, k in zip(m, e)]
         re, im = math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)
         largest = max(map(abs, terms))
+        c_m, c_e = list(map(get_m, shared)), list(map(get_e, shared))
+    # the slots every term shares, multiplied as Python numbers
+    c_mant = math.prod(c_m[:split]) / math.prod(c_m[split:])
+    c_exp = sum(c_e[:split]) - sum(c_e[split:])
     total = complex(re, im) * c_mant
     value = complex(_scaled(total.real, top + c_exp), _scaled(total.imag, top + c_exp))
     if not cmath.isfinite(value):

@@ -103,12 +103,7 @@ def delta_ratio_alt(z: Sequence[complex], x: Sequence[int], nome: EllipticNome) 
 def _check_partial_fraction_balance(zs, bs, t):
     if len(bs) != len(zs) + 1:
         raise ValueError(f"need len(bs) == len(zs) + 1, got {len(bs)} and {len(zs)}")
-    left = complex(t)
-    for z in zs:
-        left *= z
-    right = complex(1.0)
-    for b in bs:
-        right *= b
+    left, right = math.prod(zs, start=complex(t)), math.prod(bs, start=complex(1.0))
     scale = max(abs(left), abs(right))
     if abs(left - right) > 1e-12 * scale:
         raise BalancingError(

@@ -191,10 +191,7 @@ def _attempt(identity_id: str, shape: Shape, *, config: SampleConfig, p: complex
     drawn = dict(zip(free, values[1:]))
 
     z = None if shape.n is None else tuple(values[1 + len(free):])
-    Z = complex(1.0)
-    if z is not None:
-        for v in z:
-            Z *= v
+    Z = complex(1.0) if z is None else math.prod(z, start=complex(1.0))
     params = _apply_pins(drawn, pinned, {"z": z, "q": q, "N": shape.level, "Z": Z})
 
     if z is not None and not _z_separated(z, complex(p), config.min_z_separation):

@@ -36,7 +36,9 @@ block, where the skipped factors are multiplied as 1 + 0i, a value on the
 real or imaginary axis can differ in the sign of its zero part.)  A block's
 tables (the columns p^j and p^(j+1) and the row indices j) depend on p
 alone: they are built on first use, by repeated multiplication, and kept.
-Callers that need several thetas pass them in one array.
+Its factors and halving tree are written into a workspace of three
+buffers, reused from call to call, and never into an operand's own
+buffer, where numpy rounds some complex products differently.
 
 A non-finite argument raises NonFiniteError at p != 0 (at p = 0 the value
 1 - z is returned as it is).
@@ -46,8 +48,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -141,6 +145,9 @@ def _factor_counts(abs_z, nome: EllipticNome):
 
 #: Factors per block of the batched product; a power of two.
 _BLOCK = 32
+#: Three complex buffers for a block's factors and halving tree, grown to
+#: the largest batch seen.
+_workspace = [np.empty(0, dtype=complex)] * 3
 
 
 @lru_cache(maxsize=256)
@@ -149,10 +156,7 @@ def _block(p: complex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, comp
     indices j for j in [k _BLOCK, (k+1) _BLOCK), and p^j of the next row.
     p^j is built by repeated multiplication, continuing block k - 1."""
     pj = complex(1.0) if k == 0 else _block(p, k - 1)[3]
-    powers = []
-    for _ in range(_BLOCK):
-        powers.append(pj)
-        pj *= p
+    *powers, pj = accumulate(repeat(p, _BLOCK), operator.mul, initial=pj)
     column = np.array(powers)[:, None]
     tables = (column, column * p, np.arange(k * _BLOCK, (k + 1) * _BLOCK)[:, None])
     for table in tables:
@@ -163,9 +167,11 @@ def _block(p: complex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, comp
 def theta(z, nome: EllipticNome):
     """Evaluate theta(z; p), truncated as the module docstring states.
 
-    z is an ndarray, evaluated elementwise into an array of its shape, or a
-    complex scalar, evaluated as a batch of one and returned as a Python
-    complex.
+    z is an ndarray, evaluated elementwise into a new array of its shape, or
+    a complex scalar, evaluated as a batch of one and returned as a Python
+    complex.  At p != 0 the blocks are multiplied in the module's workspace,
+    so theta is neither reentrant nor thread-safe within a process, and
+    under np.errstate: an overflow raises NonFiniteError, never a warning.
     """
     if not isinstance(z, np.ndarray):
         return complex(theta(np.array([z], dtype=complex), nome)[0])
@@ -175,39 +181,47 @@ def theta(z, nome: EllipticNome):
     p = nome.p
     if p == 0 or not z.size:
         return 1.0 - z
-    if not z.all():
-        raise ThetaDomainError("theta(0) is undefined for p != 0")
-    if not np.isfinite(z).all():
-        raise NonFiniteError("theta of a non-finite argument")
-    counts = _factor_counts(np.abs(z), nome)
-    inv_z = 1.0 / z
-    top, low = int(counts.max()), counts.min()
-    result = np.ones(len(z), dtype=complex)  # an argument with no factors
-    for start in range(0, top, _BLOCK):
-        powers, next_powers, rows, _ = _block(p, start // _BLOCK)
-        # Factors past an argument's count are exactly 1, so they are not
-        # multiplied: the block takes the arguments whose count exceeds its
-        # first row (a slice when all do), stores rows up to the largest
-        # count and masks rows from the smallest count on.
-        take = slice(None) if low > start else np.flatnonzero(counts > start)
-        zs, inv_zs, ends = z[take], inv_z[take], counts[take]
-        stored = min(_BLOCK, top - start)
-        factors = (1.0 - powers[:stored] * zs) * (1.0 - next_powers[:stored] * inv_zs)
-        first = int(ends.min()) - start
-        if first < stored:
-            factors[first:] = np.where(rows[first:stored] >= ends, 1.0, factors[first:])
-        # The halving tree pairs row i with row i + half, as over a full
-        # block; a row whose partner is not stored is carried unchanged.
-        # Contiguous halves keep numpy on one rounding path whatever len(z).
-        half = _BLOCK // 2
-        while half:
-            pairs = len(factors) - half
-            if pairs > 0:
-                product = factors[:pairs] * factors[half:]
-                factors = (product if pairs == half
-                           else np.concatenate((product, factors[pairs:half])))
-            half //= 2
-        result[take] = factors[0] if start == 0 else result[take] * factors[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(z)
+        if not size.all():
+            raise ThetaDomainError("theta(0) is undefined for p != 0")
+        if not np.isfinite(size).all():
+            raise NonFiniteError("theta of a non-finite argument")
+        counts = _factor_counts(size, nome)
+        if _workspace[0].size < _BLOCK * len(z):
+            _workspace[:] = [np.empty(_BLOCK * len(z), dtype=complex) for _ in range(3)]
+        inv_z = 1.0 / z
+        top, low = int(counts.max()), counts.min()
+        result = np.ones(len(z), dtype=complex)  # an argument with no factors
+        for start in range(0, top, _BLOCK):
+            powers, next_powers, rows, _ = _block(p, start // _BLOCK)
+            # Factors past an argument's count are exactly 1, so they are not
+            # multiplied: the block takes the arguments whose count exceeds
+            # its first row (a slice when all do), stores rows up to the
+            # largest count and masks rows from the smallest count on.
+            take = slice(None) if low > start else np.flatnonzero(counts > start)
+            zs, inv_zs, ends = z[take], inv_z[take], counts[take]
+            stored = min(_BLOCK, top - start)
+            # Contiguous views, each out= never an operand of its own call,
+            # keep numpy on a new array's rounding path whatever len(z).
+            a, b, c = (w[:stored * len(zs)].reshape(stored, -1) for w in _workspace)
+            np.subtract(1.0, np.multiply(powers[:stored], zs, out=a), out=b)
+            np.subtract(1.0, np.multiply(next_powers[:stored], inv_zs, out=a), out=c)
+            factors, spare = np.multiply(b, c, out=a), b
+            first = int(low if low > start else ends.min()) - start
+            if first < stored:
+                np.copyto(factors[first:], 1.0, where=rows[first:stored] >= ends)
+            # The halving tree pairs row i with row i + half, as over a full
+            # block; a row whose partner is not stored is carried unchanged.
+            half = _BLOCK // 2
+            while half:
+                pairs = len(factors) - half
+                if pairs > 0:
+                    np.multiply(factors[:pairs], factors[half:], out=spare[:pairs])
+                    spare[pairs:half] = factors[pairs:half]
+                    factors, spare = spare[:half], factors
+                half //= 2
+            result[take] = factors[0] if start == 0 else result[take] * factors[0]
     if not np.isfinite(result).all():
         raise NonFiniteError("theta overflowed")
     return result
@@ -231,10 +245,7 @@ def elliptic_pochhammer(z: complex, k: int, nome: EllipticNome) -> complex:
     # theta(q^k z) ... theta(q^-1 z).  One theta call takes every factor.
     q = nome.q
     w = z if k > 0 else ipow(q, k) * z
-    arguments = []
-    for _ in range(abs(k)):
-        arguments.append(w)
-        w *= q
+    arguments = list(accumulate(repeat(q, abs(k) - 1), operator.mul, initial=w))
     factors = theta(np.array(arguments), nome).tolist()
     if k > 0:
         result = math.prod(factors)

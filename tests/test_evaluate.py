@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from ellsum import (
     CATALOG,
     EllipticNome,
+    NonFiniteError,
     PoleError,
     ProductBudgetError,
     SampleConfig,
@@ -294,16 +297,13 @@ def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
     exps = np.frexp(size)[1]
     mant = (values * np.ldexp(1.0, -exps)).tolist()
     exps = exps.tolist()
-    bounds = iter(plan.runs)
-    for first, stop in zip(bounds, bounds):
-        mant.append(complex(1.0))
-        exps.append(0)
-        if first == stop:
-            continue
-        m, e = mant[first], exps[first]
+    mant.append(complex(1.0))
+    exps.append(0)
+    for row in plan.tables.tolist():
+        m, e = mant[row[0]], exps[row[0]]
         mant.append(m)
         exps.append(e)
-        for k in range(first + 1, stop):
+        for k in row[1:]:
             m *= mant[k]
             e += exps[k]
             if abs(m) < 0.5:
@@ -337,9 +337,10 @@ def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
 @pytest.mark.parametrize("identity_id", sorted(CATALOG))
 def test_assembly_equals_the_list_reference(identity_id):
     # bit for bit, on sides gathered with numpy (n 3-4, N 5; n 6, N 8, where
-    # the wide grid's longest products are) and in Python (n 1-2, N 0-1)
+    # the wide grid's longest products are) and in Python (n 1-2, N 0-1;
+    # n 2-3, N 2, whose longest runs have 2 arguments, so rows padded to 3)
     paths = set()
-    requests = [(n, 5, 0.2) for n in (3, 4)] + [(6, 8, 0.2)]
+    requests = [(n, 5, 0.2) for n in (3, 4)] + [(6, 8, 0.2)] + [(2, 2, 0.2), (3, 2, 0.2)]
     requests += [(n, N, p) for n in (1, 2) for N in (0, 1) for p in (0.0, 0.2)]
     for n, N, p in requests:
         inst = sample_instance(identity_id, n=n, N=N, config=CONFIG, trial_index=0, p=p)
@@ -374,6 +375,32 @@ def test_large_N_trials_pass(identity_id, n, N, trial, seed):
     result, = (r for r in report.trials
                if (r.identity_id, r.n, r.trial_index) == (identity_id, n, trial))
     assert result.status == "pass", result.relative_error
+
+
+@pytest.mark.parametrize("width", [1, *range(3, 17)])
+def test_row_accumulate_equals_the_running_product(width):
+    # _sum_terms builds every (B)_2 .. (B)_K with one np.multiply.accumulate
+    # along rows at least 3 wide: at width 1 and from 3 on, numpy's loop
+    # rounds as Python's running product does (at width 2 it need not, so
+    # plans never use it)
+    rng = np.random.default_rng(width)
+    for rows in (1, 2, 7, 40, 200):
+        x = rng.uniform(0.5, 1, (rows, width)) * np.exp(2j * np.pi * rng.random((rows, width)))
+        expected = [list(itertools.accumulate(row, operator.mul)) for row in x.tolist()]
+        assert np.multiply.accumulate(x, axis=1).tolist() == expected
+
+
+def test_theta_overflow_in_a_side_raises_non_finite_error():
+    # at p = 0.2 both sides' thetas overflow at N 100; with RuntimeWarnings
+    # as errors they raise NonFiniteError, which the sampler rejects
+    nome = EllipticNome(0.2, 0.5)
+    params = {"a": 0.6 + 0.1j, "b": 0.7, "c": 0.8 - 0.2j, "d": 1.3}
+    inst = solve_balancing("frenkel-turaev", params, nome=nome, N=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for evaluate in (evaluate_lhs, evaluate_rhs):
+            with pytest.raises(NonFiniteError, match="theta overflowed"):
+                evaluate(inst)
 
 
 def test_term_past_the_double_range_is_refused():

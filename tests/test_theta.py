@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,40 @@ def test_theta_equals_the_full_block_product(p, fewer, monkeypatch):
         # some batches have arguments that skip blocks others need, except at
         # p = 0.05 (every count is below 32) and 0.5 (every count is 65 to 96)
         assert (True in skips) == (p not in (0.05, 0.5))
+
+
+@pytest.mark.parametrize("p", [0.2, 0.9])
+def test_theta_does_not_depend_on_call_history(p, monkeypatch):
+    # blocks are multiplied in a workspace sized by the largest batch so far:
+    # from an empty one, a small batch, a big one (both grow it), the small
+    # one again (stale rows left past it) and the big one again each equal
+    # the full block product
+    monkeypatch.setattr(theta_module, "_workspace", [np.empty(0, dtype=complex)] * 3)
+    small, big = _arguments(5, seed=3), _arguments(400, seed=4) ** 3
+    for z in (small, big, small, big):
+        assert theta(z, nome(p)).tobytes() == _full_block_theta(z, nome(p)).tobytes()
+    assert theta_module._workspace[0].size == _BLOCK * len(big)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.9])
+def test_theta_array_is_not_changed_by_a_later_call(p):
+    z = _arguments(50)
+    value = theta(z, nome(p))
+    kept = value.copy()
+    theta(_arguments(50, seed=8), nome(p))
+    theta(_arguments(500, seed=9), nome(p))
+    assert value.tobytes() == kept.tobytes()
+    assert not any(np.shares_memory(value, w) for w in theta_module._workspace)
+
+
+def test_theta_overflow_raises_non_finite_error_not_a_warning():
+    # theta multiplies under np.errstate, so where RuntimeWarnings are
+    # errors (tier-1, the selftest, the demos) an overflow is still the
+    # NonFiniteError a sampler counts as a "condition" rejection
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="theta overflowed"):
+            theta(np.array([0.5, 1e200]), nome(0.2))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2])
