@@ -22,7 +22,7 @@ class TruncationBudgetError(EllipticError):
 
 
 class ProductBudgetError(EllipticError):
-    """A term would multiply evaluate.MAX_PRODUCT or more mantissas, past the double range."""
+    """A shifted factorial would run over evaluate.MAX_PRODUCT or more theta values."""
 
 
 class NonFiniteError(EllipticError):

@@ -15,11 +15,11 @@ runs in three steps:
     math.fsum on the real and imaginary parts; numpy gathers large sums,
     Python small ones.
 
-Assembly is range-safe: each theta value and power is split once into a
-mantissa of modulus in [1/2, 1) and a binary exponent, and tables and terms
-multiply mantissas and add exponents; only the sum returns to a float.  k
-mantissas multiply to above 2^-k, so a plan refuses a term of MAX_PRODUCT or
-more ((B)_s counts s) with ProductBudgetError; the wide grid's longest has 250.
+Assembly is range-safe: theta values, powers and table entries (B)_s are
+split into a mantissa of modulus in [1/2, 1) and a binary exponent; tables
+and terms multiply mantissas and add exponents, and only the sum returns to
+a float.  k mantissas multiply to above 2^-k, so a plan refuses a shifted
+factorial run of MAX_PRODUCT or more theta values with ProductBudgetError.
 The gather rows are at least 3 wide, padded with the 1: numpy's accumulate
 along rows of width 2 can round differently from Python's running product,
 and at width 1 and 3 or more it matches it bit for bit, as the tests check.
@@ -45,7 +45,7 @@ from .theta import EllipticNome, theta
 
 #: Sums with at least this many terms are gathered with numpy, fewer in Python.
 NUMPY_TERMS = 12
-#: A term may multiply fewer mantissas than this: 2^-MAX_PRODUCT is still normal.
+#: A shifted factorial's run is shorter than this: 2^-MAX_PRODUCT is still normal.
 MAX_PRODUCT = 1000
 
 
@@ -109,8 +109,8 @@ class _Plan:
     """Everything about a side's evaluation that does not depend on values.
 
     A term's (B)_s reads the shared 1, theta(B)'s slot or, for s >= 2, its
-    run's row of the accumulated gather `tables`.  Only a plan built with
-    detail keeps den_uses, which _raise_pole reads to name a pole.
+    run's row of `tables`, a run shorter than MAX_PRODUCT.  Only a plan built
+    with detail keeps den_uses, which _raise_pole reads to name a pole.
     """
 
     def __init__(self, side: Side, inst: IdentityInstance, xs: tuple, detail=False):
@@ -167,9 +167,12 @@ class _Plan:
         runs = {key: range(f := int(arg_index(*key)), f + k) for key, k in sorted(lengths.items())}
         long = [key for key, run in runs.items() if len(run) > 1]
         width = max([3, *lengths.values()])
+        if width >= MAX_PRODUCT:
+            raise ProductBudgetError(
+                f"{inst.identity_id} at n={inst.n}, N={inst.box or inst.N}: a shifted factorial "
+                f"runs over {width} theta values, limit {MAX_PRODUCT}; take a smaller N")
         table = {key: one + r * width for r, key in enumerate(long)}  # (B)_s is table[B] + s
         gather = [[*runs[key], *[one] * (width - len(runs[key]))] for key in long]
-        weight = [1] * one + [0] + list(range(1, width + 1)) * len(long)  # s for (B)_s
 
         num, den, den_args, self.den_uses = [], [], set(), []
         for factor, b, offset, shift in uses:
@@ -188,14 +191,8 @@ class _Plan:
             (den if factor.den else num).append(slots)
         num += [np.array([pow_slot[b, k] for k in e.tolist()])
                 for b, e in pows.items() if np.any(e)]
-        longest = max(np.take(weight, np.array(c, np.intp).reshape(len(c), count)).sum(axis=0)
-                      .max(initial=0) for c in (num, den))
-        if longest >= MAX_PRODUCT:
-            raise ProductBudgetError(
-                f"{inst.identity_id} at n={inst.n}, N={inst.box or inst.N}: a term multiplies "
-                f"{longest} theta values and powers, limit {MAX_PRODUCT}; take a smaller N")
         self.den_args = np.array(sorted(den_args), dtype=np.intp)
-        dtype = np.int16 if len(weight) < 2 ** 15 else np.int32
+        dtype = np.int16 if one + 1 + width * len(long) < 2 ** 15 else np.int32  # slot count
         self.tables = np.array(gather, dtype).reshape(len(gather), width)
         self.const_num, self.num = _split_constant(num, count, dtype)
         self.const_den, self.den = _split_constant(den, count, dtype)
@@ -262,9 +259,11 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
     mant = values * np.ldexp(1.0, -exps)
     mant[-1], exps[-1] = 1.0, 0  # every (B)_0: an exact 1, not frexp's 0.5 * 2
     tables = plan.tables
-    if tables.size:  # (B)_1 .. (B)_K: running products along each padded row
-        mant = np.concatenate((mant, np.multiply.accumulate(mant.take(tables), axis=1).ravel()))
-        exps = np.concatenate((exps, np.add.accumulate(exps.take(tables), axis=1).ravel()))
+    if tables.size:  # (B)_1 .. (B)_K: running products along each padded row, split again
+        runs = np.multiply.accumulate(mant.take(tables), axis=1).ravel()
+        shift = np.frexp(np.abs(runs))[1]
+        mant = np.concatenate((mant, runs * np.ldexp(1.0, -shift)))
+        exps = np.concatenate((exps, np.add.accumulate(exps.take(tables), axis=1).ravel() + shift))
 
     # assemble: gather, scale every term to the largest exponent, fsum
     shared, split = plan.const_num + plan.const_den, len(plan.const_num)

@@ -38,7 +38,8 @@ tables (the columns p^j and p^(j+1) and the row indices j) depend on p
 alone: they are built on first use, by repeated multiplication, and kept.
 Its factors and halving tree are written into a workspace of three
 buffers, reused from call to call, and never into an operand's own
-buffer, where numpy rounds some complex products differently.
+buffer, where numpy rounds some complex products differently; a batch of
+more than _COLUMNS arguments runs through it in chunks of _COLUMNS.
 
 A non-finite argument raises NonFiniteError at p != 0 (at p = 0 the value
 1 - z is returned as it is).
@@ -145,8 +146,10 @@ def _factor_counts(abs_z, nome: EllipticNome):
 
 #: Factors per block of the batched product; a power of two.
 _BLOCK = 32
+#: Most arguments one pass over the blocks takes; a wider batch runs in chunks.
+_COLUMNS = 4096
 #: Three complex buffers for a block's factors and halving tree, grown to
-#: the largest batch seen.
+#: the largest chunk seen, at most _BLOCK x _COLUMNS.
 _workspace = [np.empty(0, dtype=complex)] * 3
 
 
@@ -188,6 +191,9 @@ def theta(z, nome: EllipticNome):
         if not np.isfinite(size).all():
             raise NonFiniteError("theta of a non-finite argument")
         counts = _factor_counts(size, nome)
+        if len(z) > _COLUMNS:  # a value does not depend on its batch
+            return np.concatenate([theta(z[k:k + _COLUMNS], nome)
+                                   for k in range(0, len(z), _COLUMNS)])
         if _workspace[0].size < _BLOCK * len(z):
             _workspace[:] = [np.empty(_BLOCK * len(z), dtype=complex) for _ in range(3)]
         inv_z = 1.0 / z
@@ -218,7 +224,8 @@ def theta(z, nome: EllipticNome):
                 pairs = len(factors) - half
                 if pairs > 0:
                     np.multiply(factors[:pairs], factors[half:], out=spare[:pairs])
-                    spare[pairs:half] = factors[pairs:half]
+                    if pairs < half:
+                        spare[pairs:half] = factors[pairs:half]
                     factors, spare = spare[:half], factors
                 half //= 2
             result[take] = factors[0] if start == 0 else result[take] * factors[0]

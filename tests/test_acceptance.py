@@ -207,9 +207,8 @@ def test_wide_grid_passes():
     job = VerificationJob(identities="all", n_values=tuple(range(1, 7)),
                           N_values=tuple(range(9)), trials=5, tolerance=1e-8,
                           config=SampleConfig(seed=SEED, condition_cap=1e6))
-    # every plan refuses a term of evaluate.MAX_PRODUCT (1000) or more mantissas
-    # with ProductBudgetError; the longest here has 250 (bt-transform's right
-    # side at n 6, N 8)
+    # every plan refuses a shifted factorial over evaluate.MAX_PRODUCT (1000) or
+    # more theta values with ProductBudgetError; the longest run here has 8
     report = run_job(job)
     worst = _report_max_error(report)
     assert report.verdict == "pass", worst

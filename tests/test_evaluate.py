@@ -404,19 +404,29 @@ def test_theta_overflow_in_a_side_raises_non_finite_error():
 
 
 def test_term_past_the_double_range_is_refused():
-    # at p = 0 frenkel-turaev's terms multiply about 6N (left) and 4N (right)
-    # mantissas of modulus in [1/2, 1), so a product could fall below 2^-1000
-    # and lose bits or flush to 0; a plan refuses a side at MAX_PRODUCT
+    # at p = 0 frenkel-turaev's terms multiply shifted factorials of up to N
+    # theta values.  A table row multiplies K mantissas of modulus in [1/2, 1),
+    # above 2^-K, and each entry (B)_s is split again, so a term multiplies one
+    # mantissa per factor: the sides agree up to a run of MAX_PRODUCT - 1
     nome = EllipticNome(0.0, 0.5)
     params = {"a": 0.6 + 0.1j, "b": 0.7, "c": 0.8 - 0.2j, "d": 1.3}
-    inst = solve_balancing("frenkel-turaev", params, nome=nome, N=166)  # 998 on the left
-    assert relative_error(evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]) < 1e-14
-    with pytest.raises(ProductBudgetError, match="N=167: a term multiplies 1004 .* limit 1000"):
-        evaluate_lhs(solve_balancing("frenkel-turaev", params, nome=nome, N=167))
-    inst = solve_balancing("frenkel-turaev", params, nome=nome, N=320)
-    for evaluate in (evaluate_lhs, evaluate_rhs):  # without the limit: overflow, 0.75-0.25j
-        with pytest.raises(ProductBudgetError):
+    for N in (166, 167, 320, 999):
+        inst = solve_balancing("frenkel-turaev", params, nome=nome, N=N)
+        assert relative_error(evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]) < 1e-14, N
+    inst = solve_balancing("frenkel-turaev", params, nome=nome, N=1000)
+    for evaluate in (evaluate_lhs, evaluate_rhs):
+        with pytest.raises(ProductBudgetError,
+                           match="N=1000: a shifted factorial runs over 1000 theta values, "
+                                 "limit 1000"):
             evaluate(inst)
+
+
+@pytest.mark.parametrize("N", [84, 200])
+def test_trigonometric_bailey_transformation_at_large_N(N):
+    # elliptic-bailey at p = 0: a left-side term multiplies about 16 shifted
+    # factorials of up to N theta values, all within the double range
+    inst = sample_instance("elliptic-bailey", N=N, config=CONFIG, trial_index=0, p=0.0)
+    assert relative_error(evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]) < 1e-10
 
 
 def test_relative_error_contract():

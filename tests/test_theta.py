@@ -24,7 +24,7 @@ from ellsum import (
     relative_error,
     theta,
 )
-from ellsum.theta import _BLOCK, _block, _factor_counts
+from ellsum.theta import _BLOCK, _COLUMNS, _block, _factor_counts
 
 theta_module = importlib.import_module("ellsum.theta")
 
@@ -189,6 +189,16 @@ def test_theta_does_not_depend_on_call_history(p, monkeypatch):
     for z in (small, big, small, big):
         assert theta(z, nome(p)).tobytes() == _full_block_theta(z, nome(p)).tobytes()
     assert theta_module._workspace[0].size == _BLOCK * len(big)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.9])
+def test_theta_batch_wider_than_the_workspace_runs_in_chunks(p, monkeypatch):
+    # a batch of more than _COLUMNS arguments runs in column chunks, so the
+    # workspace stays at _BLOCK x _COLUMNS and the bits stay those of one pass
+    monkeypatch.setattr(theta_module, "_workspace", [np.empty(0, dtype=complex)] * 3)
+    z = _arguments(2 * _COLUMNS + 5, seed=5)
+    assert theta(z, nome(p)).tobytes() == _full_block_theta(z, nome(p)).tobytes()
+    assert [w.size for w in theta_module._workspace] == [_BLOCK * _COLUMNS] * 3
 
 
 @pytest.mark.parametrize("p", [0.2, 0.9])

@@ -347,12 +347,18 @@ def test_cli_verify_counts_a_dependent_past_the_double_range_as_magnitude(capsys
 
 
 @pytest.mark.parametrize("command", [
-    ["verify", "--identity", "frenkel-turaev", "--N", "320", "--p", "0", "--trials", "1"],
-    ["bench", "--identity", "frenkel-turaev", "--N", "320", "--p", "0"],
+    ["verify", "--identity", "frenkel-turaev", "--N", "1000", "--p", "0", "--trials", "1"],
+    ["bench", "--identity", "frenkel-turaev", "--N", "1000", "--p", "0"],
 ])
 def test_cli_N_past_the_product_limit_exits_2(command, capsys):
+    # seed 0 draws a q with |q|^1001 in the magnitude window, so a plan is built
     assert cli_main(command) == 2
-    assert "limit 1000; take a smaller N" in capsys.readouterr().err
+    assert "runs over 1000 theta values, limit 1000; take a smaller N" in capsys.readouterr().err
+
+
+def test_cli_trigonometric_bailey_at_N_84_passes(capsys):
+    assert cli_main(["verify", "--identity", "elliptic-bailey", "--N", "84", "--p", "0",
+                     "--trials", "2"]) == 0
 
 
 def test_cli_rejects_negative_N(capsys):
