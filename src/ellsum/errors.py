@@ -22,7 +22,7 @@ class TruncationBudgetError(EllipticError):
 
 
 class ProductBudgetError(EllipticError):
-    """A shifted factorial would run over evaluate.MAX_PRODUCT or more theta values."""
+    """A run, or a term's numerator or denominator, of evaluate.MAX_PRODUCT or more factors."""
 
 
 class NonFiniteError(EllipticError):

@@ -18,8 +18,8 @@ runs in three steps:
 Assembly is range-safe: theta values, powers and table entries (B)_s are
 split into a mantissa of modulus in [1/2, 1) and a binary exponent; tables
 and terms multiply mantissas and add exponents, and only the sum returns to
-a float.  k mantissas multiply to above 2^-k, so a plan refuses a shifted
-factorial run of MAX_PRODUCT or more theta values with ProductBudgetError.
+a float.  k mantissas multiply to above 2^-k: a plan raises ProductBudgetError
+for a run or a term's numerator or denominator of MAX_PRODUCT or more factors.
 The gather rows are at least 3 wide, padded with the 1: numpy's accumulate
 along rows of width 2 can round differently from Python's running product,
 and at width 1 and 3 or more it matches it bit for bit, as the tests check.
@@ -45,7 +45,7 @@ from .theta import EllipticNome, theta
 
 #: Sums with at least this many terms are gathered with numpy, fewer in Python.
 NUMPY_TERMS = 12
-#: A shifted factorial's run is shorter than this: 2^-MAX_PRODUCT is still normal.
+#: Runs and terms multiply fewer mantissas than this: 2^-MAX_PRODUCT is normal.
 MAX_PRODUCT = 1000
 
 
@@ -109,8 +109,8 @@ class _Plan:
     """Everything about a side's evaluation that does not depend on values.
 
     A term's (B)_s reads the shared 1, theta(B)'s slot or, for s >= 2, its
-    run's row of `tables`, a run shorter than MAX_PRODUCT.  Only a plan built
-    with detail keeps den_uses, which _raise_pole reads to name a pole.
+    run's row of `tables`; a term reads one slot per column of num and den.
+    Only a plan built with detail keeps den_uses, which _raise_pole reads.
     """
 
     def __init__(self, side: Side, inst: IdentityInstance, xs: tuple, detail=False):
@@ -167,10 +167,6 @@ class _Plan:
         runs = {key: range(f := int(arg_index(*key)), f + k) for key, k in sorted(lengths.items())}
         long = [key for key, run in runs.items() if len(run) > 1]
         width = max([3, *lengths.values()])
-        if width >= MAX_PRODUCT:
-            raise ProductBudgetError(
-                f"{inst.identity_id} at n={inst.n}, N={inst.box or inst.N}: a shifted factorial "
-                f"runs over {width} theta values, limit {MAX_PRODUCT}; take a smaller N")
         table = {key: one + r * width for r, key in enumerate(long)}  # (B)_s is table[B] + s
         gather = [[*runs[key], *[one] * (width - len(runs[key]))] for key in long]
 
@@ -191,6 +187,12 @@ class _Plan:
             (den if factor.den else num).append(slots)
         num += [np.array([pow_slot[b, k] for k in e.tolist()])
                 for b, e in pows.items() if np.any(e)]
+        factors = max(len(num), len(den))
+        if max(width, factors) >= MAX_PRODUCT:
+            what = (f"a shifted factorial runs over {width} theta values" if width >= factors
+                    else f"a term is a product of {factors} factors")
+            raise ProductBudgetError(f"{inst.identity_id} at n={inst.n}, N={inst.box or inst.N}: "
+                                     f"{what}, limit {MAX_PRODUCT}; take a smaller N or n")
         self.den_args = np.array(sorted(den_args), dtype=np.intp)
         dtype = np.int16 if one + 1 + width * len(long) < 2 ** 15 else np.int32  # slot count
         self.tables = np.array(gather, dtype).reshape(len(gather), width)

@@ -14,17 +14,15 @@ parameter comes from solve_balancing.  A draw is rejected and retried when
     condition_cap, or a side overflows -> reason "condition".
 
 Other errors propagate, such as the TruncationBudgetError of a p too close
-to 1 or the ProductBudgetError of an N so large that a shifted factorial
-runs over evaluate.MAX_PRODUCT theta values: that is a bad configuration,
-not a bad draw.
+to 1 or the ProductBudgetError of an N or n so large that a shifted
+factorial runs over, or a term multiplies, evaluate.MAX_PRODUCT or more
+values: that is a bad configuration, not a bad draw.
 
 Randomness comes from numpy's PCG64 bit generator.  Each trial derives its
 own stream from SeedSequence entropy built out of (seed, catalog index of
 the identity, n, N or box, trial index, bit pattern of p), so trials are
 independent, reorderable, and reproducible across runs: the same
 (config, identity, n, N, p, trial_index) always yields the same instance.
-The entropy goes to SeedSequence as the uint32 array it would build from
-that list of ints, so the stream is the list's.
 
 An attempt draws q, the free parameters and z, in that order, each from
 two uniforms (modulus, then phase).  It takes all of them from the stream
@@ -94,19 +92,6 @@ def _float_bits(value: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
-def _seed_words(entropy: list[int]) -> np.ndarray:
-    """The uint32 array SeedSequence builds from a list of ints: each int's
-    32-bit words, low word first, one 0 word for a 0; ValueError if negative."""
-    words = []
-    for value in entropy:
-        if value < 0:
-            raise ValueError(f"SeedSequence entropy must be non-negative, got {value}")
-        words.append(value & 0xFFFFFFFF)
-        while value := value >> 32:
-            words.append(value & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
-
-
 def _rng_for(config: SampleConfig, identity_id: str, shape: Shape, trial_index: int,
              p: complex) -> np.random.Generator:
     entropy = [
@@ -118,7 +103,7 @@ def _rng_for(config: SampleConfig, identity_id: str, shape: Shape, trial_index: 
         _float_bits(complex(p).imag),
         *shape.level_code,
     ]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed_words(entropy))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 _TWO_PI = 2.0 * math.pi

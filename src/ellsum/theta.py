@@ -224,8 +224,7 @@ def theta(z, nome: EllipticNome):
                 pairs = len(factors) - half
                 if pairs > 0:
                     np.multiply(factors[:pairs], factors[half:], out=spare[:pairs])
-                    if pairs < half:
-                        spare[pairs:half] = factors[pairs:half]
+                    spare[pairs:half] = factors[pairs:half]
                     factors, spare = spare[:half], factors
                 half //= 2
             result[take] = factors[0] if start == 0 else result[take] * factors[0]

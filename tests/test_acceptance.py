@@ -208,7 +208,9 @@ def test_wide_grid_passes():
                           N_values=tuple(range(9)), trials=5, tolerance=1e-8,
                           config=SampleConfig(seed=SEED, condition_cap=1e6))
     # every plan refuses a shifted factorial over evaluate.MAX_PRODUCT (1000) or
-    # more theta values with ProductBudgetError; the longest run here has 8
+    # more theta values, and a term of as many factors over its numerator or
+    # denominator, with ProductBudgetError; the longest run here has 8 theta
+    # values and the largest term 81 factors (bt-transform at n 6)
     report = run_job(job)
     worst = _report_max_error(report)
     assert report.verdict == "pass", worst

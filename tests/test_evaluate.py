@@ -421,6 +421,32 @@ def test_term_past_the_double_range_is_refused():
             evaluate(inst)
 
 
+def _wide_instance(identity_id: str, n: int, p: float):
+    """Fixed parameters and z at n, with N = 1 (box (1, 0, .., 0) for rs-jackson)."""
+    partial = {name: 0.7 + 0.05 * k + 0.1j * k
+               for k, name in enumerate(CATALOG[identity_id].free_params)}
+    z = tuple((1 + 0.01 * k) * complex(math.cos(0.3 * k), math.sin(0.3 * k)) for k in range(n))
+    shape = {"box": (1,) + (0,) * (n - 1)} if identity_id == "rs-jackson" else {"N": 1}
+    return solve_balancing(identity_id, partial, nome=EllipticNome(p, 0.5), z=z, **shape)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2])
+def test_term_of_too_many_factors_is_refused(p):
+    # a term multiplies one mantissa of modulus in [1/2, 1) per factor, so a
+    # numerator or denominator of MAX_PRODUCT or more factors could leave the
+    # double range.  Their count grows as n^2 and does not depend on N.
+    for identity_id in ("bt-transform", "rs-jackson"):
+        inst = _wide_instance(identity_id, 24, p)
+        assert relative_error(evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]) < 1e-12
+    refused = [("bt-transform", evaluate_lhs, 1030), ("bt-transform", evaluate_rhs, 1012),
+               ("rs-jackson", evaluate_lhs, 1005)]
+    for identity_id, evaluate, count in refused:
+        with pytest.raises(ProductBudgetError, match=f"n=25, .*: a term is a product of "
+                                                     f"{count} factors, limit 1000; take a"):
+            evaluate(_wide_instance(identity_id, 25, p))
+    evaluate_rhs(_wide_instance("rs-jackson", 25, p))  # 52 factors
+
+
 @pytest.mark.parametrize("N", [84, 200])
 def test_trigonometric_bailey_transformation_at_large_N(N):
     # elliptic-bailey at p = 0: a left-side term multiplies about 16 shifted

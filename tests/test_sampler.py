@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from ellsum import (
@@ -177,26 +176,6 @@ def test_negative_trial_index_raises():
     # SeedSequence entropy must be non-negative
     with pytest.raises(ValueError):
         sample_instance("gr-sum", n=2, N=1, config=SampleConfig(), trial_index=-1, p=0.2)
-
-
-@pytest.mark.parametrize("entropy", [
-    [42, 0, 3, 0, 0, 0, 2],  # one-word seed, zero fields
-    [42 + (3 << 32), 10, 0, 24, sampler._float_bits(0.2), sampler._float_bits(-0.05), 6],
-    [0xFFFFFFFFFFFFFFFF, 1, 5, 2 ** 40, sampler._float_bits(0.05), 0, 9, 1, 4],
-    [7 << 32, 4, 2, 0, sampler._float_bits(0.1), sampler._float_bits(0.05)],
-    [],
-])
-def test_seed_words_give_the_stream_of_the_entropy_list(entropy):
-    # one uint32 array, low word first, is what SeedSequence builds from the list
-    words = sampler._seed_words(entropy)
-    assert words.dtype == np.uint32
-    state = np.random.SeedSequence(entropy).generate_state(8)
-    assert np.random.SeedSequence(words).generate_state(8).tolist() == state.tolist()
-
-
-def test_seed_words_refuse_a_negative_entry():
-    with pytest.raises(ValueError, match="non-negative"):
-        sampler._seed_words([42, 0, -1])
 
 
 def test_p_near_one_raises_truncation_budget_error():
