@@ -26,20 +26,21 @@ none of the truncation machinery.
 theta evaluates a numpy array of arguments in one vectorised pass over
 blocks of 32 factors (1 - p^j z)(1 - p^{j+1}/z), one column per argument;
 any other argument is a batch of one, returned as a Python complex.  Each
-argument stops at its own factor count, and the factors past it are
-exactly 1: they are skipped, not multiplied.  A block takes only the
-arguments whose count reaches it (a slice when all do) and only the rows
-below the largest count among them, multiplies the rows pairwise as it
-would all 32 and writes back through that one selection, so a value does
-not depend on which other arguments share its batch.  (Against the full
-block, where the skipped factors are multiplied as 1 + 0i, a value on the
-real or imaginary axis can differ in the sign of its zero part.)  A block's
-tables (the columns p^j and p^(j+1) and the row indices j) depend on p
-alone: they are built on first use, by repeated multiplication, and kept.
-Its factors and halving tree are written into a workspace of three
-buffers, reused from call to call, and never into an operand's own
-buffer, where numpy rounds some complex products differently; a batch of
-more than _COLUMNS arguments runs through it in chunks of _COLUMNS.
+argument stops at its own factor count: a block multiplies all 32 rows of
+every argument it takes, the rows past that argument's count set to exactly
+1, and halves them to one row, row i times row i + half.  Block 0 takes
+every argument and a later block only those whose count exceeds its first
+row, and writes back through that one selection, so a value does not depend
+on which other arguments share its batch.  (Against a product that takes
+every argument into every block, and so multiplies a block wholly past an
+argument's count as 1 + 0i, a value on the real or imaginary axis can
+differ in the sign of its zero part.)  A block's tables (the columns p^j
+and p^(j+1) and the row indices j) depend on p alone: they are built on
+first use, by repeated multiplication, and kept.  Its factors and halving
+tree are written into a workspace of three buffers, reused from call to
+call, and never into an operand's own buffer, where numpy rounds some
+complex products differently; a batch of more than _COLUMNS arguments
+runs through it in chunks of _COLUMNS.
 
 A non-finite argument raises NonFiniteError at p != 0 (at p = 0 the value
 1 - z is returned as it is).
@@ -197,36 +198,23 @@ def theta(z, nome: EllipticNome):
         if _workspace[0].size < _BLOCK * len(z):
             _workspace[:] = [np.empty(_BLOCK * len(z), dtype=complex) for _ in range(3)]
         inv_z = 1.0 / z
-        top, low = int(counts.max()), counts.min()
         result = np.ones(len(z), dtype=complex)  # an argument with no factors
-        for start in range(0, top, _BLOCK):
+        for start in range(0, int(counts.max()), _BLOCK):
             powers, next_powers, rows, _ = _block(p, start // _BLOCK)
-            # Factors past an argument's count are exactly 1, so they are not
-            # multiplied: the block takes the arguments whose count exceeds
-            # its first row (a slice when all do), stores rows up to the
-            # largest count and masks rows from the smallest count on.
-            take = slice(None) if low > start else np.flatnonzero(counts > start)
-            zs, inv_zs, ends = z[take], inv_z[take], counts[take]
-            stored = min(_BLOCK, top - start)
+            # Block 0 takes every argument; a later block only those whose
+            # count exceeds its first row, all 32 rows of each.
+            take = slice(None) if start == 0 else np.flatnonzero(counts > start)
+            zs, inv_zs = z[take], inv_z[take]
             # Contiguous views, each out= never an operand of its own call,
             # keep numpy on a new array's rounding path whatever len(z).
-            a, b, c = (w[:stored * len(zs)].reshape(stored, -1) for w in _workspace)
-            np.subtract(1.0, np.multiply(powers[:stored], zs, out=a), out=b)
-            np.subtract(1.0, np.multiply(next_powers[:stored], inv_zs, out=a), out=c)
+            a, b, c = (w[:_BLOCK * len(zs)].reshape(_BLOCK, -1) for w in _workspace)
+            np.subtract(1.0, np.multiply(powers, zs, out=a), out=b)
+            np.subtract(1.0, np.multiply(next_powers, inv_zs, out=a), out=c)
             factors, spare = np.multiply(b, c, out=a), b
-            first = int(low if low > start else ends.min()) - start
-            if first < stored:
-                np.copyto(factors[first:], 1.0, where=rows[first:stored] >= ends)
-            # The halving tree pairs row i with row i + half, as over a full
-            # block; a row whose partner is not stored is carried unchanged.
-            half = _BLOCK // 2
-            while half:
-                pairs = len(factors) - half
-                if pairs > 0:
-                    np.multiply(factors[:pairs], factors[half:], out=spare[:pairs])
-                    spare[pairs:half] = factors[pairs:half]
-                    factors, spare = spare[:half], factors
-                half //= 2
+            np.copyto(factors, 1.0, where=rows >= counts[take])  # past the count: 1
+            while len(factors) > 1:  # row i times row i + half, to one row
+                half = len(factors) // 2
+                factors, spare = np.multiply(factors[:half], factors[half:], spare[:half]), factors
             result[take] = factors[0] if start == 0 else result[take] * factors[0]
     if not np.isfinite(result).all():
         raise NonFiniteError("theta overflowed")

@@ -156,12 +156,13 @@ def _mixed_batches(seed=11):
 @pytest.mark.parametrize("fewer", [0, 12, 30])
 @pytest.mark.parametrize("p", [0.05, 0.2, 0.2 + 0.1j, 0.5, 0.9])
 def test_theta_equals_the_full_block_product(p, fewer, monkeypatch):
-    # theta multiplies only the factors that are not exactly 1: the same
-    # pairs in the same order as the full product, so the same bits.  The
-    # factors next to a count differ from 1 by less than 1e-18, so most of
-    # them leave the bits alone; cutting `fewer` factors off every count
-    # (down to none) puts factors far from 1 there, where a row or an
-    # argument left out shows.
+    # theta multiplies whole blocks, but a block past an argument's count
+    # leaves that argument out: the same pairs in the same order as the
+    # full product, so the same bits.  The factors next to a count differ
+    # from 1 by less than 1e-18, so most of them leave the bits alone;
+    # cutting `fewer` factors off every count (down to none) puts factors
+    # far from 1 there, where a row not masked or an argument left out of
+    # a block it needs shows.
     counts_of = theta_module._factor_counts
     monkeypatch.setattr(theta_module, "_factor_counts",
                         lambda abs_z, nome: np.maximum(counts_of(abs_z, nome) - fewer, 0))

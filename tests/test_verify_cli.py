@@ -353,7 +353,9 @@ def test_cli_verify_counts_a_dependent_past_the_double_range_as_magnitude(capsys
 def test_cli_N_past_the_product_limit_exits_2(command, capsys):
     # seed 0 draws a q with |q|^1001 in the magnitude window, so a plan is built
     assert cli_main(command) == 2
-    assert "runs over 1000 theta values, limit 1000; take a smaller N" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runs over 1000 theta values, limit 1000; take a smaller N" in err
+    assert "frenkel-turaev at N=1000: " in err and "n=None" not in err  # no n to name
 
 
 def test_cli_trigonometric_bailey_at_N_84_passes(capsys):
