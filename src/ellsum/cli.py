@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n", type=int, default=4)
     bench.add_argument("--N", default="2,4,6,8")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--p", default="0.05")
+    bench.add_argument("--p", default="0.05", help="one nome value (|p| < 1)")
     bench.set_defaults(func=_cmd_bench)
     return parser
 
@@ -221,10 +221,10 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        config = SampleConfig(seed=args.seed,
-                              p_values=_listed(parse_complex_literal)(args.p))
+        p = parse_complex_literal(args.p)
+        config = SampleConfig(seed=args.seed, p_values=(p,))  # checks |p| < 1
         rows = run_bench(args.identity, n=args.n, N_values=_listed(int)(args.N),
-                         config=config)
+                         config=config, p=p)
     except (ValueError, BalancingError) as exc:
         raise UsageError(str(exc)) from None
     print(f"{'N':>4} {'terms':>7} {'us/eval':>10} {'terms/s':>12}")

@@ -6,14 +6,12 @@ runs in three steps:
 
   * plan (built on first use, then cached): per (side, indices, N or box),
     every theta argument B q^j some term multiplies, each shifted
-    factorial's run of them as a row of a padded gather, and each term's
-    slots (as Python lists too, for a small sum);
+    factorial's run of them as a row of a padded gather, and each term's slots;
   * batch: all theta arguments of the side in one vectorised call, then
     (B)_2 .. (B)_K of every run in one accumulate along the gathered rows;
     (B)_0 is one shared exact 1 and (B)_1 is theta(B)'s own slot;
-  * assemble: gather each term from the tables and sum the terms with
-    math.fsum on the real and imaginary parts; numpy gathers large sums,
-    Python small ones.
+  * assemble: gather each term with numpy (a one-term side shares every slot,
+    so its term is an exact 1) and math.fsum the real and imaginary parts.
 
 Assembly is range-safe: theta values, powers and table entries (B)_s are
 split into a mantissa of modulus in [1/2, 1) and a binary exponent; tables
@@ -44,8 +42,6 @@ from .errors import NonFiniteError, PoleError, ProductBudgetError
 from .kernels import box_indices, compositions_bounded, compositions_exact
 from .theta import EllipticNome, theta
 
-#: Sums with at least this many terms are gathered with numpy, fewer in Python.
-NUMPY_TERMS = 12
 #: Runs and terms multiply fewer mantissas than this: 2^-MAX_PRODUCT is normal.
 MAX_PRODUCT = 1000
 
@@ -194,7 +190,10 @@ class _Plan:
         if max(width, factors) >= MAX_PRODUCT:
             what = (f"a shifted factorial runs over {width} theta values" if width >= factors
                     else f"a term is a product of {factors} factors")
-            at = f"n={inst.n}, " * (inst.n is not None) + f"N={inst.box or inst.N}"
+            at = f"n={inst.n}, " * (inst.n is not None) + f"N={inst.N}"
+            if inst.box is not None:  # a box by its sum and its nonzero entries
+                nonzero = ", ".join(f"N_{k}={v}" for k, v in enumerate(inst.box) if v)
+                at = f"n={inst.n}, |N|={inst.level}" + f" ({nonzero})" * bool(nonzero)
             raise ProductBudgetError(f"{inst.identity_id} at {at}: {what}, "
                                      f"limit {MAX_PRODUCT}; take a smaller N or n")
         self.den_args = np.array(sorted(den_args), dtype=np.intp)
@@ -202,9 +201,6 @@ class _Plan:
         self.tables = np.array(gather, dtype).reshape(len(gather), width)
         self.const_num, self.num = _split_constant(num, count, dtype)
         self.const_den, self.den = _split_constant(den, count, dtype)
-        # a small sum gathers in Python, from per-term slot lists
-        self.rows = (list(zip(self.num.tolist(), self.den.tolist()))
-                     if count < NUMPY_TERMS else None)
 
 
 def _split_constant(columns: list, count: int, dtype) -> tuple[tuple, np.ndarray]:
@@ -279,7 +275,9 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
 
     # assemble: gather, scale every term to the largest exponent, fsum
     shared, split = plan.const_num + plan.const_den, len(plan.const_num)
-    if len(xs) >= NUMPY_TERMS:
+    if len(xs) == 1:  # every slot is shared, so the one term is an exact 1
+        re, im, largest, top = 1.0, 0.0, 1.0, 0
+    else:
         # take() converts the int16 slot matrices to intp on every call; they are
         # int16 for plan memory (0.26 MB against 1.03 MB over grid's 348 plans)
         m = mant.take(plan.num).prod(axis=1) / mant.take(plan.den).prod(axis=1)
@@ -288,16 +286,7 @@ def _sum_terms(ctx: EvalContext, inst: IdentityInstance, domain, side: Side
         terms = m * np.ldexp(1.0, e - top)
         re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
         largest = float(np.abs(terms).max())
-        c_m, c_e = mant.take(shared).tolist(), exps.take(shared).tolist()
-    else:  # a small sum gathers in Python, from lists
-        get_m, get_e = mant.tolist().__getitem__, exps.tolist().__getitem__
-        m = [math.prod(map(get_m, a)) / math.prod(map(get_m, b)) for a, b in plan.rows]
-        e = [sum(map(get_e, a)) - sum(map(get_e, b)) for a, b in plan.rows]
-        top = max((k for v, k in zip(m, e) if v), default=0)
-        terms = [v * math.ldexp(1.0, k - top) for v, k in zip(m, e)]
-        re, im = math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)
-        largest = max(map(abs, terms))
-        c_m, c_e = list(map(get_m, shared)), list(map(get_e, shared))
+    c_m, c_e = mant.take(shared).tolist(), exps.take(shared).tolist()
     # the slots every term shares, multiplied as Python numbers
     c_mant = math.prod(c_m[:split]) / math.prod(c_m[split:])
     c_exp = sum(c_e[:split]) - sum(c_e[split:])

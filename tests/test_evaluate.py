@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 import warnings
 
 import numpy as np
@@ -35,7 +36,6 @@ from ellsum.catalog import Factor, _form, _monomial
 from ellsum.evaluate import (
     _PLANS,
     DOMAINS,
-    NUMPY_TERMS,
     EvalContext,
     _Plan,
     _raise_pole,
@@ -257,9 +257,7 @@ def _reference_side(side, inst) -> tuple[complex, float]:
 def test_spec_matches_scalar_reference(identity_id):
     # well-conditioned draws, so plain summation of the reference is good to 1e-12
     config = SampleConfig(seed=11, condition_cap=10.0)
-    paths = set()
-    # (3, 4) has 12 to 35 terms on every side that sums over x, so those
-    # sides gather with numpy; the rest gather in Python
+    paths = set()  # one-term side (True), gathered side (False)
     for n, N, p in ((1, 2, 0.2), (2, 3, 0.05), (3, 2, 0.2), (4, 1, 0.0), (3, 4, 0.2)):
         # a scalar identity drops n, so n picks its trial instead
         trial = 0 if CATALOG[identity_id].shape(n, N).n else n
@@ -269,16 +267,17 @@ def test_spec_matches_scalar_reference(identity_id):
             expected, expected_largest = _reference_side(side, inst)
             assert relative_error(value, expected) < 1e-12, (n, N, p)
             assert relative_error(largest, expected_largest) < 1e-12, (n, N, p)
-            paths.add(len(tuple(DOMAINS[side.domain](inst))) >= NUMPY_TERMS)
-    # the scalar sums have N + 1 terms and theta-lemma's n: all gathered in Python
-    assert paths == {False} | {identity_id not in ("elliptic-bailey", "frenkel-turaev",
-                                                   "theta-lemma")}
+            paths.add(len(tuple(DOMAINS[side.domain](inst))) == 1)
+    # every sum here has N >= 1, so only a closed side has one term
+    sides = CATALOG[identity_id].sides
+    assert paths == {False} | {any(side.domain == "x=()" for side in sides)}
 
 
 def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
     """_sum_terms with its slot values held in one Python list, the runs
     appended to it and the list turned into arrays for a numpy gather with
-    the int16 slot matrices: the reference for the array-built slots."""
+    the int16 slot matrices: the reference for the array-built slots, and
+    for the one-term side, which _sum_terms takes as an exact 1 ungathered."""
     xs = tuple(domain(inst))
     key = (id(side), inst.n, inst.N, inst.box)
     plan = _PLANS.get(key)
@@ -314,21 +313,13 @@ def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
     get_m, get_e = mant.__getitem__, exps.__getitem__
     c_mant = math.prod(map(get_m, plan.const_num)) / math.prod(map(get_m, plan.const_den))
     c_exp = sum(map(get_e, plan.const_num)) - sum(map(get_e, plan.const_den))
-    if len(xs) >= NUMPY_TERMS:
-        mant, exps = np.array(mant), np.array(exps)
-        m = mant[plan.num].prod(axis=1) / mant[plan.den].prod(axis=1)
-        e = exps[plan.num].sum(axis=1) - exps[plan.den].sum(axis=1)
-        top = int(e[m != 0].max(initial=0))
-        terms = m * np.ldexp(1.0, e - top)
-        re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
-        largest = float(np.abs(terms).max())
-    else:
-        m = [math.prod(map(get_m, a)) / math.prod(map(get_m, b)) for a, b in plan.rows]
-        e = [sum(map(get_e, a)) - sum(map(get_e, b)) for a, b in plan.rows]
-        top = max((k for v, k in zip(m, e) if v), default=0)
-        terms = [v * math.ldexp(1.0, k - top) for v, k in zip(m, e)]
-        re, im = math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)
-        largest = max(map(abs, terms))
+    mant, exps = np.array(mant), np.array(exps)
+    m = mant[plan.num].prod(axis=1) / mant[plan.den].prod(axis=1)
+    e = exps[plan.num].sum(axis=1) - exps[plan.den].sum(axis=1)
+    top = int(e[m != 0].max(initial=0))
+    terms = m * np.ldexp(1.0, e - top)
+    re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
+    largest = float(np.abs(terms).max())
     total = complex(re, im) * c_mant
     value = complex(_scaled(total.real, top + c_exp), _scaled(total.imag, top + c_exp))
     return value, _scaled(largest * abs(c_mant), top + c_exp)
@@ -336,10 +327,11 @@ def _list_assembly(ctx, inst, domain, side) -> tuple[complex, float]:
 
 @pytest.mark.parametrize("identity_id", sorted(CATALOG))
 def test_assembly_equals_the_list_reference(identity_id):
-    # bit for bit, on sides gathered with numpy (n 3-4, N 5; n 6, N 8, where
-    # the wide grid's longest products are) and in Python (n 1-2, N 0-1;
-    # n 2-3, N 2, whose longest runs have 2 arguments, so rows padded to 3)
-    paths = set()
+    # bit for bit, on gathered sides (n 3-4, N 5; n 6, N 8, where the wide
+    # grid's longest products are; n 1-2, N 1; n 2-3, N 2, whose longest runs
+    # have 2 arguments, so rows padded to 3) and on one-term sides (N 0, and
+    # the closed products)
+    paths = set()  # one-term side (True), gathered side (False)
     requests = [(n, 5, 0.2) for n in (3, 4)] + [(6, 8, 0.2)] + [(2, 2, 0.2), (3, 2, 0.2)]
     requests += [(n, N, p) for n in (1, 2) for N in (0, 1) for p in (0.0, 0.2)]
     for n, N, p in requests:
@@ -351,10 +343,8 @@ def test_assembly_equals_the_list_reference(identity_id):
                              for v, largest in (_sum_terms(ctx, inst, domain, side),
                                                 _list_assembly(ctx, inst, domain, side)))
             assert got == expected, (n, N, p, side.domain)
-            paths.add(len(tuple(domain(inst))) >= NUMPY_TERMS)
-    # the scalar sums have N + 1 terms and theta-lemma's n: all gathered in Python
-    assert paths == {False} | {identity_id not in ("elliptic-bailey", "frenkel-turaev",
-                                                   "theta-lemma")}
+            paths.add(len(tuple(domain(inst))) == 1)
+    assert paths == {False, True}
 
 
 # Well-conditioned trials whose shifted factorials reach 1e210: products of
@@ -403,6 +393,24 @@ def test_theta_overflow_in_a_side_raises_non_finite_error():
                 evaluate(inst)
 
 
+def test_sum_past_the_double_range_overflows():
+    # both sides have one term, whose shared product is the whole value: its
+    # exponent is range-safe, but past N 40 (2.9e248 there) the final scaling
+    # leaves the double range, which raises NonFiniteError, not a warning
+    params = {"b1": 0.9, "b2": 1.1j, "b3": 0.8}
+    nome = EllipticNome(0.0, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        inst = solve_balancing("gr-sum", params, nome=nome, z=(0.7,), N=40)
+        lhs, rhs = evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]
+        assert lhs == rhs and 1e248 < abs(lhs) < 1e249
+        for N in (60, 80):
+            inst = solve_balancing("gr-sum", params, nome=nome, z=(0.7,), N=N)
+            for evaluate in (evaluate_lhs, evaluate_rhs):
+                with pytest.raises(NonFiniteError, match="gr-sum: sum overflowed"):
+                    evaluate(inst)
+
+
 def test_term_past_the_double_range_is_refused():
     # at p = 0 frenkel-turaev's terms multiply shifted factorials of up to N
     # theta values.  A table row multiplies K mantissas of modulus in [1/2, 1),
@@ -442,12 +450,15 @@ def test_term_of_too_many_factors_is_refused(p):
     for identity_id in ("bt-transform", "rs-jackson"):
         inst = _wide_instance(identity_id, 25, p)
         assert relative_error(evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]) < 1e-12
-    refused = [("bt-transform", evaluate_rhs, 42, 1001), ("bt-transform", evaluate_lhs, 43, 1039),
-               ("rs-jackson", evaluate_lhs, 43, 1037)]
-    for identity_id, evaluate, n, count in refused:
+    # the message names a box by its sum and its nonzero entries, not all n of them
+    refused = [("bt-transform", evaluate_rhs, 42, "N=1", 1001),
+               ("bt-transform", evaluate_lhs, 43, "N=1", 1039),
+               ("rs-jackson", evaluate_lhs, 43, "|N|=1 (N_0=1)", 1037)]
+    for identity_id, evaluate, n, level, count in refused:
         evaluate(_wide_instance(identity_id, n - 1, p))  # n is the first refused
-        with pytest.raises(ProductBudgetError, match=f"n={n}, .*: a term is a product of "
-                                                     f"{count} factors, limit 1000; take a"):
+        with pytest.raises(ProductBudgetError, match=re.escape(
+                f"{identity_id} at n={n}, {level}: a term is a product of {count} factors, "
+                "limit 1000; take a")):
             evaluate(_wide_instance(identity_id, n, p))
     evaluate_rhs(_wide_instance("rs-jackson", 43, p))  # 4 factors
 

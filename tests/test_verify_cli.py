@@ -466,6 +466,14 @@ def test_cli_bench_runs(capsys):
     assert "terms/s" in out and "us/eval" in out
 
 
+def test_cli_bench_takes_one_p(capsys):
+    # bench samples at one p: a list exits 2 instead of timing its first value
+    assert cli_main(["bench", "--identity", "gr-sum", "--n", "2", "--N", "1",
+                     "--p", "0,0.2"]) == 2
+    out = capsys.readouterr().out
+    assert "us/eval" not in out
+
+
 def test_cli_version(capsys):
     assert cli_main(["--version"]) == 0
 
