@@ -209,13 +209,6 @@ class Shape(NamedTuple):
             return sum(self.box)
         return 0 if self.N is None else self.N
 
-    @property
-    def level_code(self) -> tuple[int, ...]:
-        """The shape's share of a trial's RNG entropy, next to n."""
-        if self.box is not None:
-            return tuple(m + 1 for m in self.box)
-        return () if self.N is None else (self.N + 1,)
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

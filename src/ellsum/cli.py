@@ -62,8 +62,11 @@ def parse_complex_literal(text: str) -> complex:
 
 
 def _listed(cast):
-    """Parser of a comma-separated list of cast values."""
-    return lambda text: tuple(cast(token) for token in text.split(","))
+    """Parser of a comma-separated list of cast values, named "int list" etc."""
+    def parse(text):
+        return tuple(cast(token) for token in text.split(","))
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -153,9 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time the left-side evaluator")
     bench.add_argument("--identity", default="gr-sum")
     bench.add_argument("--n", type=int, default=4)
-    bench.add_argument("--N", default="2,4,6,8")
+    bench.add_argument("--N", type=_listed(int), default="2,4,6,8")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--p", default="0.05", help="one nome value (|p| < 1)")
+    bench.add_argument("--p", type=parse_complex_literal, default="0.05",
+                       help="one nome value (|p| < 1)")
     bench.set_defaults(func=_cmd_bench)
     return parser
 
@@ -221,10 +225,8 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        p = parse_complex_literal(args.p)
-        config = SampleConfig(seed=args.seed, p_values=(p,))  # checks |p| < 1
-        rows = run_bench(args.identity, n=args.n, N_values=_listed(int)(args.N),
-                         config=config, p=p)
+        config = SampleConfig(seed=args.seed, p_values=(args.p,))  # checks |p| < 1
+        rows = run_bench(args.identity, n=args.n, N_values=args.N, config=config)
     except (ValueError, BalancingError) as exc:
         raise UsageError(str(exc)) from None
     print(f"{'N':>4} {'terms':>7} {'us/eval':>10} {'terms/s':>12}")

@@ -55,12 +55,11 @@ def _require(condition: bool, message: str):
         raise BalancingError(f"reduction premise violated: {message}")
 
 
-def _sides(inst, pole_floor):
-    return (evaluate_lhs(inst, pole_floor=pole_floor)[0],
-            evaluate_rhs(inst, pole_floor=pole_floor)[0])
+def _sides(inst):
+    return evaluate_lhs(inst)[0], evaluate_rhs(inst)[0]
 
 
-def _against(inst, pole_floor, identity, given, dependent, expected, *,
+def _against(inst, identity, given, dependent, expected, *,
              scale=None, cross=False, **shape):
     """Solve the companion `identity` instance from `given`, require its
     `dependent` to equal `expected`, and return the worst error between the
@@ -69,8 +68,8 @@ def _against(inst, pole_floor, identity, given, dependent, expected, *,
     companion = solve_balancing(identity, given, nome=inst.nome, **shape)
     _require(relative_error(companion.params[dependent], expected) < 1e-10,
              f"constraints disagree on {dependent}")
-    lhs, rhs = _sides(inst, pole_floor)
-    other_lhs, other_rhs = _sides(companion, pole_floor)
+    lhs, rhs = _sides(inst)
+    other_lhs, other_rhs = _sides(companion)
     if cross:
         return relative_error(other_lhs * rhs, lhs * other_rhs)
     if scale is not None:
@@ -78,54 +77,54 @@ def _against(inst, pole_floor, identity, given, dependent, expected, *,
     return max(relative_error(lhs, other_lhs), relative_error(rhs, other_rhs))
 
 
-def _check_gr_sum_to_theta_lemma(inst, pole_floor):
+def _check_gr_sum_to_theta_lemma(inst):
     _require(inst.N == 1, "gr-sum instance must have N = 1")
     # Same b4 must come out: the N = 1 constraint coincides with the lemma's.
-    residual = _against(inst, pole_floor, "theta-lemma",
+    residual = _against(inst, "theta-lemma",
                         {name: inst.params[name] for name in ("b1", "b2", "b3")},
                         "b4", inst.params["b4"], z=inst.z,
                         scale=theta(inst.nome.q, inst.nome))
     return residual, "theta(q) * gr-sum sides vs theta-lemma sides"
 
 
-def _check_gr_corollary_to_gr_sum(inst, pole_floor):
+def _check_gr_corollary_to_gr_sum(inst):
     extra = ipow(inst.nome.q, -inst.N) / inst.params["a"]
-    residual = _against(inst, pole_floor, "gr-sum",
+    residual = _against(inst, "gr-sum",
                         {name: inst.params[name] for name in ("b1", "b2", "b3")},
                         "b4", inst.params["b4"], z=inst.z + (extra,), N=inst.N,
                         cross=True)
     return residual, "cross ratio of gr-sum (n+1 vars) vs gr-corollary sides"
 
 
-def _check_bt_unit_lhs(inst, pole_floor):
+def _check_bt_unit_lhs(inst):
     _require(inst.params["b"] == 1, "bt-transform instance must have b = 1")
-    lhs, _ = evaluate_lhs(inst, pole_floor=pole_floor)
+    lhs, _ = evaluate_lhs(inst)
     return relative_error(lhs, 1.0), "bt-transform left side vs 1"
 
 
-def _check_bt_to_gr_corollary(inst, pole_floor):
+def _check_bt_to_gr_corollary(inst):
     p_ = inst.params
     aq = p_["a"] * inst.nome.q
     _require(relative_error(aq, p_["b"] * p_["c"]) < 1e-10,
              "bt-transform instance must have aq = bc")
-    residual = _against(inst, pole_floor, "gr-corollary",
+    residual = _against(inst, "gr-corollary",
                         {"a": p_["a"], "b1": p_["d"], "b2": p_["e"], "b3": p_["f"]},
                         "b4", p_["g"], z=inst.z, N=inst.N)
     return residual, "bt-transform sides vs gr-corollary sides at aq = bc"
 
 
-def _check_gr_corollary_to_frenkel_turaev(inst, pole_floor):
+def _check_gr_corollary_to_frenkel_turaev(inst):
     _require(inst.n == 1, "gr-corollary instance must have n = 1")
     p_ = inst.params
     z1 = inst.z[0]
-    residual = _against(inst, pole_floor, "frenkel-turaev",
+    residual = _against(inst, "frenkel-turaev",
                         {"a": p_["a"] * z1, "b": z1 * p_["b1"], "c": z1 * p_["b2"],
                          "d": z1 * p_["b3"]},
                         "e", z1 * p_["b4"], N=inst.N)
     return residual, "gr-corollary n=1 sides vs frenkel-turaev sides"
 
 
-def _check_general_to_jts(inst, pole_floor):
+def _check_general_to_jts(inst):
     p_ = inst.params
     Z = inst.Z
     if inst.n % 2 == 1:
@@ -136,7 +135,7 @@ def _check_general_to_jts(inst, pole_floor):
              "general-jackson d is not at its parity pin")
     _require(relative_error(p_["e"], want_e) < 1e-10,
              "general-jackson e is not at its parity pin")
-    residual = _against(inst, pole_floor, "jts-jackson",
+    residual = _against(inst, "jts-jackson",
                         {"a": p_["a"], "b": p_["b"], "c": p_["c"], "d": p_["f"],
                          "t": p_["t"]},
                         "e", p_["g"], z=inst.z, N=inst.N)
@@ -157,8 +156,7 @@ REDUCTION_KINDS = tuple(_REDUCTIONS)
 
 
 def reduction_check(kind: str, inst: IdentityInstance, *,
-                    tolerance: float = 1e-8,
-                    pole_floor: float = 0.0) -> ReductionResult:
+                    tolerance: float = 1e-8) -> ReductionResult:
     """Verify one reduction relation on an instance satisfying its premise.
 
     Raises BalancingError when the instance does not match the premise
@@ -172,6 +170,6 @@ def reduction_check(kind: str, inst: IdentityInstance, *,
         raise BalancingError(
             f"reduction {kind} expects a {expected} instance, "
             f"got {inst.identity_id}")
-    residual, detail = check(inst, pole_floor)
+    residual, detail = check(inst)
     return ReductionResult(kind=kind, residual=residual,
                            tolerance=tolerance, detail=detail)

@@ -18,11 +18,11 @@ to 1 or the ProductBudgetError of an N or n so large that a shifted
 factorial runs over, or a term multiplies, evaluate.MAX_PRODUCT or more
 values: that is a bad configuration, not a bad draw.
 
-Randomness comes from numpy's PCG64 bit generator.  Each trial derives its
-own stream from SeedSequence entropy built out of (seed, catalog index of
-the identity, n, N or box, trial index, bit pattern of p), so trials are
-independent, reorderable, and reproducible across runs: the same
-(config, identity, n, N, p, trial_index) always yields the same instance.
+_stream is the one place a seed becomes a numpy PCG64 stream; selfcheck's
+suites use it too.  A trial's stream is _stream(seed, identity's catalog
+index, n + 1 or 0, trial index, bits of p, N + 1 or each box limit plus 1),
+so trials are independent, reorderable and reproducible: the same (config,
+identity, n, N, p, trial_index) always yields the same instance.
 
 An attempt draws q, the free parameters and z, in that order, each from
 two uniforms (modulus, then phase).  It takes all of them from the stream
@@ -92,18 +92,21 @@ def _float_bits(value: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
+def _stream(seed: int, *words: int) -> np.random.Generator:
+    """The PCG64 stream of a seed and further non-negative entropy words:
+    the one place a seed becomes a generator."""
+    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, *words])
+
+
 def _rng_for(config: SampleConfig, identity_id: str, shape: Shape, trial_index: int,
              p: complex) -> np.random.Generator:
-    entropy = [
-        config.seed & 0xFFFFFFFFFFFFFFFF,
-        IDENTITY_IDS.index(identity_id),
-        0 if shape.n is None else shape.n + 1,
-        _integer(trial_index, "trial_index"),
-        _float_bits(complex(p).real),
-        _float_bits(complex(p).imag),
-        *shape.level_code,
-    ]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    p = complex(p)
+    levels = shape.box if shape.box is not None else (() if shape.N is None else (shape.N,))
+    return _stream(config.seed, IDENTITY_IDS.index(identity_id),
+                   0 if shape.n is None else shape.n + 1,
+                   _integer(trial_index, "trial_index"),
+                   _float_bits(p.real), _float_bits(p.imag),
+                   *(level + 1 for level in levels))
 
 
 _TWO_PI = 2.0 * math.pi

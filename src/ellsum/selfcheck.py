@@ -21,11 +21,11 @@ Checked properties:
 
 Every suite is a trial function run by one loop, _suite: the trial
 draws, gates (None rejects the draw) and returns (value, expected) pairs.
-The loop owns the suite's PCG64 stream, a pure function of the seed, the
-budget of 100 x samples draws, the worst relative error and the count of
-completed samples.  A suite passes when every requested sample completed
-and its worst error is within tolerance.  Draws are gated away from the
-zero lattice p^Z of theta, which the properties exclude.
+The loop owns the suite's stream, sampler._stream(seed, the suite's
+number), the budget of 100 x samples draws, the worst relative error and
+the count of completed samples.  A suite passes when every requested
+sample completed and its worst error is within tolerance.  Draws are gated
+away from the zero lattice p^Z of theta, which the properties exclude.
 
 theta has one product, the batched one the verifier multiplies, so these
 suites certify the values the verifier uses.  A trial that takes several
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import EllipticError
 from .kernels import _tpf_sum, delta_ratio, delta_ratio_alt, tpf_rhs, weierstrass_rhs
-from .sampler import _draw, _lattice, _lattice_distance
+from .sampler import _draw, _lattice, _lattice_distance, _stream
 from .theta import EllipticNome, elliptic_pochhammer, ipow, theta
 from .evaluate import relative_error
 
@@ -72,12 +72,11 @@ def _suite(name: str, stream: int, samples: int, tolerance: float):
     PropertyResult from trial(rng, index, **options), which returns the
     (value, expected) pairs of sample number index, or rejects the draw by
     returning None or raising EllipticError.  Each suite draws from its own
-    PCG64 stream."""
+    stream, _stream(seed, stream)."""
     def wrap(trial):
         def check(samples: int = samples, seed: int = 0,
                   tolerance: float = tolerance, **options) -> PropertyResult:
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, stream])))
+            rng = _stream(seed, stream)
             worst = 0.0
             done = 0
             for _ in range(100 * samples):

@@ -448,30 +448,22 @@ def report_to_table(report: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_bench(identity_id: str, *, n: int | None, N_values, config: SampleConfig,
-              p: complex | None = None, min_seconds: float = 0.05) -> list[dict]:
-    """Time evaluate_lhs over growing N.
+def run_bench(identity_id: str, *, n: int | None, N_values, config: SampleConfig) -> list[dict]:
+    """Time evaluate_lhs over growing N on trial 0 at p = config.p_values[0].
 
     Returns one row per N with the term count, seconds per evaluation and
-    terms per second.  min_seconds must be finite and >= 0.
+    terms per second.  Each N is timed for 0.05 s.
     """
-    if not 0 <= min_seconds < float("inf"):  # NaN fails too: the loop below would not end
-        raise ValueError(f"min_seconds must be finite and >= 0, got {min_seconds}")
     rows = []
     for N in N_values:
-        instance = sample_instance(identity_id, n=n, N=N, config=config,
-                                   trial_index=0, p=p)
+        instance = sample_instance(identity_id, n=n, N=N, config=config, trial_index=0)
         terms = count_terms(instance)
-        reps = 0
-        t0 = time.perf_counter()
-        while True:  # at least one evaluation, so seconds per evaluation is defined
+        reps, elapsed, t0 = 0, 0.0, time.perf_counter()
+        while elapsed < 0.05:
             evaluate_lhs(instance)
             reps += 1
             elapsed = time.perf_counter() - t0
-            if elapsed >= min_seconds:
-                break
         seconds = elapsed / reps
         rows.append({"identity": identity_id, "n": n, "N": N, "terms": terms,
-                     "seconds": seconds,
-                     "terms_per_second": terms / seconds if seconds > 0 else float("inf")})
+                     "seconds": seconds, "terms_per_second": terms / seconds})
     return rows

@@ -157,6 +157,12 @@ def test_dependent_parameter_rejected_as_input():
                         nome=NOME, N=1)
 
 
+def test_zero_z_entry_rejected():
+    with pytest.raises(BalancingError, match="^gr-sum: z entries must be nonzero$"):
+        solve_balancing("gr-sum", {"b1": 0.9, "b2": 1.1, "b3": 0.8},
+                        nome=EllipticNome(0.2, 0.5), z=(0.7, 0.0), N=1)
+
+
 def test_zero_parameter_rejected():
     with pytest.raises(BalancingError, match="nonzero"):
         solve_balancing("frenkel-turaev", {"a": 0.9, "b": 0.0, "c": 0.7, "d": 1.2},
@@ -232,9 +238,7 @@ def test_shape_resolves_each_arity():
     assert shape("rs-jackson", 3, 4) == (3, None, (2, 1, 1))  # N spread over the box
     given = CATALOG["rs-jackson"].shape(None, 7, (1, 0))  # a given box wins over N
     assert tuple(given) == (2, None, (1, 0))
-    assert (given.level, given.level_code) == (1, (2, 1))
-    assert CATALOG["gr-sum"].shape(2, 3).level_code == (4,)
-    assert CATALOG["theta-lemma"].shape(2).level_code == ()
+    assert given.level == 1
     bad = [("gr-sum", 0, 2), ("gr-sum", 2, -1), ("gr-sum", None, 2), ("gr-sum", 2),
            ("frenkel-turaev", 1), ("rs-jackson", 2, None, (1, -1)),
            ("rs-jackson", 3, None, (1, 2)), ("rs-jackson", None, None, ()),

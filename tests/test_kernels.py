@@ -128,7 +128,10 @@ POLE_TPF = ((0.9, 0.6), (0.5, 1.3, 0.9 * 0.9 * 0.6 / (0.5 * 1.3)), 0.9)
     (delta_ratio, ((0.7, 0.7), (1, 0)), "theta(z[1]/z[0])"),
     (tpf_lhs, POLE_TPF, "theta(z[0]/t)"),
     (tpf_rhs, POLE_TPF, "theta(z[j]/t)"),
-], ids=["delta_ratio", "tpf_lhs", "tpf_rhs"])
+    # (q^-1 z_1/z_0)_1 = theta(1); and theta(z_0/z_1) = theta(1) in a balanced sum
+    (delta_ratio_alt, ((1.0, 0.5), (1, 1)), "(q^-x[0] z[1]/z[0])_x[1]"),
+    (tpf_lhs, ((0.5, 0.5), (0.5, 0.5, 1.0), 1.0), "theta(z[0]/z[1])"),
+], ids=["delta_ratio", "tpf_lhs", "tpf_rhs", "delta_ratio_alt", "tpf_lhs_z_pair"])
 def test_kernel_pole_names_the_factor(kernel, args, description):
     with pytest.raises(PoleError) as excinfo:
         kernel(*args, nome(0.2))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from ellsum import (
@@ -237,3 +238,82 @@ def test_block_draws_equal_scalar_uniform_draws(ranges):
         assert _bits(sampler._draw(single_rng, lo, hi) for lo, hi in ranges) == _bits(scalar)
         # and each leaves the stream where the scalar draws leave it
         assert block_rng.random() == scalar_rng.random() == single_rng.random()
+
+
+#: Trial 0 at seed 42 and p 0.2 of one shape per arity, as literals: a change
+#: to any word of a trial's stream entropy (the seed, the identity, n, the
+#: trial, p, N or a box limit) changes these draws.
+#: (identity, request, q, params, z, rejection histogram)
+PINNED_TRIALS = [
+    ("frenkel-turaev", {"N": 3}, -1.333128611011459 - 0.07365118339191645j,
+     {"a": -0.6241000502438355 + 0.03682592356128698j,
+      "b": -0.18918364898825346 - 0.21982336398675503j,
+      "c": 0.3488986435956907 - 0.19961882041176043j,
+      "d": 0.05086906694113888 - 0.29980164813787596j,
+      "e": -13.827252352017343 - 32.19375330631778j},
+     None, {"pass": 1}),
+    ("gr-sum", {"n": 3, "N": 2}, 0.47970129186390725 + 1.0461364415364771j,
+     {"b1": -1.4497119652922534 - 0.3073727684502612j,
+      "b2": 0.3429182476517228 + 0.1941996272781556j,
+      "b3": -0.33997438053563656 + 0.024672110977442697j,
+      "b4": 1249.1613247037105 + 1086.113530944651j},
+     (-0.5086782759331324 - 0.3649709396749861j, 0.23705294209511343 - 0.30744651139434287j,
+      0.12072445521300941 - 0.17338080755582083j), {"pass": 1}),
+    ("rs-jackson", {"n": 3, "N": 4}, -0.0017552320882935428 - 0.31143696616703576j,
+     {"a": -0.35349079993141175 - 0.1934599172295294j,
+      "b": 0.5363729118884011 + 0.3599815302910105j,
+      "c": -0.29597896367900184 + 0.7953117235290716j,
+      "d": 0.43132339139856246 + 0.7878327368634586j,
+      "e": -0.0004859226014392507 + 0.0008353161677958655j},
+     (-0.3957291564209463 + 0.11800119957683196j, 0.21764362469472429 + 0.18001227721177984j,
+      0.3572198050585006 + 0.02781517074521093j), {"pass": 1}),
+    ("theta-lemma", {"n": 2}, 0.2008791275477545 - 0.8375404168667075j,
+     {"b1": 0.1251584729440939 + 0.5595023407104632j,
+      "b2": -0.5720167774723989 - 0.25957636021338154j,
+      "b3": -0.11517963967739743 - 0.31825449764093056j,
+      "b4": -98.4361246714073 + 545.1273806892085j},
+     (-0.1690022820422972 - 0.1387309215896165j, -0.5548285948912842 - 0.0441388731952246j),
+     {"pass": 1, "separation": 1}),
+]
+
+
+@pytest.mark.parametrize("identity_id, request_, q, params, z, rejections", PINNED_TRIALS,
+                         ids=[row[0] for row in PINNED_TRIALS])
+def test_seeded_streams_are_pinned(identity_id, request_, q, params, z, rejections):
+    inst, _, _, _, histogram = sampler._sample_with_values(
+        identity_id, config=SampleConfig(seed=42), trial_index=0, p=0.2, **request_)
+    if identity_id == "rs-jackson":
+        assert inst.box == (2, 1, 1)
+    assert inst.nome.q == pytest.approx(q, rel=1e-12)
+    assert inst.params == pytest.approx(params, rel=1e-12)
+    assert inst.z == (None if z is None else pytest.approx(z, rel=1e-12))
+    assert histogram == {**dict.fromkeys(sampler.REJECTION_REASONS, 0), **rejections}
+
+
+def test_stream_is_the_seed_sequence_pcg64_stream():
+    words = (2**64 + 5, 3, 0, 7)
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [words[0] & 0xFFFFFFFFFFFFFFFF, *words[1:]])))
+    assert sampler._stream(*words).random(4).tolist() == expected.random(4).tolist()
+
+
+@pytest.fixture
+def exact_zero_draw(monkeypatch):
+    """theta-lemma at n 1 and p 0 with z_0 b1 = 1 exactly, so that both sides
+    carry theta(z_0 b1) = 0 and evaluate to exactly (0j, 0.0)."""
+    drawn = [complex(0.7), complex(2.0), 0.3 + 0.1j, complex(0.4), complex(0.5)]  # q, b1..b3, z_0
+    monkeypatch.setattr(sampler, "_draws", lambda rng, log_ranges: list(drawn))
+    return dict(identity_id="theta-lemma", shape=Shape(1, None, None),
+                config=SampleConfig(), p=0j, rng=None, pinned=None)
+
+
+def test_two_exactly_zero_sides_pass_with_condition_zero(exact_zero_draw):
+    reason, (inst, lhs, rhs, condition) = sampler._attempt(**exact_zero_draw)
+    assert inst.z[0] * inst.params["b1"] == 1
+    assert (reason, lhs, rhs, condition) == ("pass", 0j, 0j, 0.0)
+
+
+def test_an_exactly_zero_side_with_nonzero_terms_is_a_condition_rejection(exact_zero_draw,
+                                                                         monkeypatch):
+    monkeypatch.setattr(sampler, "evaluate_rhs", lambda inst, pole_floor: (0j, 1.0))
+    assert sampler._attempt(**exact_zero_draw) == ("condition", None)

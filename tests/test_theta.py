@@ -326,6 +326,13 @@ def test_pochhammer_zero_base_rejected():
         elliptic_pochhammer(0.0, 2, nome(0.2))
 
 
+def test_pochhammer_overflow_raises_non_finite_error():
+    # (1e200)_2 = (1 - 1e200)(1 - 5e199): each factor is finite, the product not
+    with pytest.raises(NonFiniteError) as excinfo:
+        elliptic_pochhammer(1e200, 2, nome(0.0))
+    assert str(excinfo.value) == "((1e+200+0j))_2 overflowed"
+
+
 def test_pochhammer_pole_reports_factor_index():
     # (q)_{-1} = 1/theta(1) divides by the zero of theta at 1.
     n = nome(0.2, 0.6)
