@@ -5,16 +5,21 @@ planned, batched evaluator gets through the biggest summation domains.
 Run:  python3 demos/04_sampling_and_performance.py
 """
 
-from ellsum import SampleConfig, rejection_report, run_bench, sample_instance
+from ellsum import SampleConfig, VerificationJob, run_bench, run_job, sample_instance
 
 # --- rejection gates ------------------------------------------------------------
 # Draws are rejected near theta poles, when the solved dependent parameter
 # is extreme, when z ratios crowd the lattice p^Z, or when the two sides
-# cancel catastrophically.  The histogram shows why attempts fail on the
-# largest default grid cell:
-config = SampleConfig(seed=77)
-hist = rejection_report("gr-sum", n=4, N=4, config=config, count=200, p=0.2)
-print("rejection histogram over 200 attempts (gr-sum, n=4, N=4, p=0.2):")
+# cancel catastrophically; a rejected draw is retried.  A report cell counts
+# every attempt of its trials, so its histogram shows why attempts fail on
+# the largest default grid cell:
+config = SampleConfig(seed=77, p_values=(0.2,))
+job = VerificationJob(identities="gr-sum", n_values=(4,), N_values=(4,), trials=200,
+                      config=config)
+(cell,) = run_job(job).cells
+hist = cell["rejections"]
+print(f"rejection histogram over {sum(hist.values())} attempts of 200 trials "
+      "(gr-sum, n=4, N=4, p=0.2):")
 for reason, count in hist.items():
     print(f"  {reason:<11} {count}")
 

@@ -34,7 +34,7 @@ from .kernels import (
     weierstrass_rhs,
 )
 from .reductions import REDUCTION_KINDS, ReductionResult, reduction_check
-from .sampler import SampleConfig, rejection_report, sample_instance
+from .sampler import SampleConfig, sample_instance
 from .theta import (
     EllipticNome,
     elliptic_pochhammer,
@@ -84,7 +84,6 @@ __all__ = [
     "evaluate_rhs",
     "ipow",
     "reduction_check",
-    "rejection_report",
     "relative_error",
     "report_to_dict",
     "report_to_json",

@@ -553,15 +553,6 @@ class IdentityInstance:
         return _residuals(self.entry, self.params, self.nome.q, self.level,
                           self.Z if self.z is not None else complex(1.0))
 
-    def with_params(self, **replacements: complex) -> "IdentityInstance":
-        """Copy with some scalar parameters replaced (no re-solving)."""
-        new_params = dict(self.params)
-        new_params.update({k: complex(v) for k, v in replacements.items()})
-        return IdentityInstance(
-            identity_id=self.identity_id, params=new_params, nome=self.nome,
-            z=self.z, N=self.N, box=self.box,
-        )
-
 
 def _residuals(entry: CatalogEntry, params: Mapping[str, complex], q: complex,
                level: int, Z: complex) -> tuple[float, ...]:

@@ -61,6 +61,9 @@ def parse_complex_literal(text: str) -> complex:
     return complex(text.strip().replace(" ", "").replace("i", "j"))
 
 
+parse_complex_literal.__name__ = "complex"  # argparse says "invalid complex value"
+
+
 def _listed(cast):
     """Parser of a comma-separated list of cast values, named "int list" etc."""
     def parse(text):

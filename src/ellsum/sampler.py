@@ -274,18 +274,3 @@ def sample_instance(identity_id: str, *, n=None, N=None, box=None,
         identity_id, n=n, N=N, box=box, config=config,
         trial_index=trial_index, p=p, pinned=pinned)
     return instance
-
-
-def rejection_report(identity_id: str, *, n=None, N=None, box=None,
-                     config: SampleConfig, count: int,
-                     p: complex | None = None) -> dict[str, int]:
-    """Tally pass/pole/separation/magnitude/condition over the first
-    attempt of `count` trials."""
-    shape = catalog_entry(identity_id).shape(n, N, box)
-    p = complex(config.p_values[0] if p is None else p)
-    histogram = dict.fromkeys(REJECTION_REASONS, 0)
-    for trial_index in range(count):
-        rng = _rng_for(config, identity_id, shape, trial_index, p)
-        histogram[_attempt(identity_id, shape, config=config, p=p, rng=rng,
-                           pinned=None)[0]] += 1
-    return histogram

@@ -209,7 +209,7 @@ def test_lambda_recomputed_from_parameters():
         nome=NOME, z=(0.6, 1.3), N=1)
     lam_oracle = 0.9 ** 2 * 0.5 / (0.4 * 0.7 * 1.2)
     assert relative_error(inst.lam, lam_oracle) < 1e-14
-    moved = inst.with_params(b=0.5)
+    moved = dataclasses.replace(inst, params={**inst.params, "b": 0.5})
     assert relative_error(moved.lam, 0.9 ** 2 * 0.5 / (0.5 * 0.7 * 1.2)) < 1e-14
 
 

@@ -4,6 +4,7 @@ range safety at large N, and pole reporting."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -200,7 +201,8 @@ def test_gr_sum_rhs_invariant_under_b_permutations(n):
     baseline, _ = evaluate_rhs(inst)
     b = [inst.params[name] for name in ("b1", "b2", "b3", "b4")]
     for perm in itertools.permutations(range(4)):
-        permuted = inst.with_params(**{f"b{i + 1}": b[j] for i, j in enumerate(perm)})
+        permuted = dataclasses.replace(inst, params={
+            **inst.params, **{f"b{i + 1}": b[j] for i, j in enumerate(perm)}})
         assert max(permuted.constraint_residuals()) < 1e-12
         value, _ = evaluate_rhs(permuted)
         assert relative_error(baseline, value) < 1e-9, perm
@@ -209,7 +211,8 @@ def test_gr_sum_rhs_invariant_under_b_permutations(n):
 def test_bt_lhs_invariant_under_c_e_swap():
     inst = _grid_instance("bt-transform", 2, 2, trial=6)
     lhs, _ = evaluate_lhs(inst)
-    swapped = inst.with_params(c=inst.params["e"], e=inst.params["c"])
+    swapped = dataclasses.replace(
+        inst, params={**inst.params, "c": inst.params["e"], "e": inst.params["c"]})
     assert max(swapped.constraint_residuals()) < 1e-12
     lhs_swapped, _ = evaluate_lhs(swapped)
     assert relative_error(lhs, lhs_swapped) < 1e-9

@@ -24,6 +24,7 @@ from ellsum import (
     tpf_rhs,
     weierstrass_rhs,
 )
+from ellsum import selfcheck
 from ellsum.selfcheck import (
     check_balanced_sum,
     check_interpolation,
@@ -85,12 +86,32 @@ def test_ratio_equivalence_seeded():
     assert result.passed, result.line()
 
 
-def test_incomplete_suite_fails():
-    # max_weight = -1 rejects every draw: no sample completes, so no PASS
-    result = check_ratio_equivalence(5, seed=0, max_weight=-1)
+def test_incomplete_suite_fails(monkeypatch):
+    # no z-vector clears the lattice, so every draw is rejected: no sample
+    # completes, so no PASS
+    monkeypatch.setattr(selfcheck, "_draw_clear_vector", lambda *args: None)
+    result = check_ratio_equivalence(5, seed=0)
     assert (result.requested, result.samples) == (5, 0)
     assert not result.passed
     assert result.line().startswith("FAIL A-type ratio equivalence: 0 of 5 samples")
+
+
+def test_suite_retries_a_draw_whose_trial_raises(monkeypatch):
+    # a trial that raises an EllipticError rejects its draw, and the suite
+    # draws again until the requested samples complete
+    calls = []
+
+    def pole_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PoleError("theta factor on its zero set")
+        return delta_ratio(*args)
+
+    monkeypatch.setattr(selfcheck, "delta_ratio", pole_once)
+    result = check_ratio_equivalence(5, seed=0)
+    assert len(calls) == 6
+    assert (result.requested, result.samples) == (5, 5)
+    assert result.passed, result.line()
 
 
 # ---------------------------------------------------------------------------

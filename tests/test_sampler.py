@@ -14,7 +14,6 @@ from ellsum import (
     SampleConfig,
     TruncationBudgetError,
     VerificationJob,
-    rejection_report,
     run_job,
     sample_instance,
     solve_balancing,
@@ -70,25 +69,28 @@ def test_modulus_window_respected():
         assert 0.5 - 1e-12 <= abs(z) <= 0.9 + 1e-12
 
 
+def _cell_rejections(**config):
+    """The rejections of the one cell gr-sum, n 4, N 4, p 0 over 60 trials."""
+    job = VerificationJob(identities="gr-sum", n_values=(4,), N_values=(4,), trials=60,
+                          config=SampleConfig(seed=13, p_values=(0.0,), **config))
+    (cell,) = run_job(job).cells
+    return cell["rejections"]
+
+
 def test_rejection_report_reasons():
-    config = SampleConfig(seed=13)
-    hist = rejection_report("gr-sum", n=4, N=4, config=config, count=60)
-    assert sum(hist.values()) == 60
+    hist = _cell_rejections()
+    assert hist["pass"] == 60  # every trial passes once, after its rejections
     assert set(hist) == {"pass", "pole", "separation", "magnitude", "condition"}
     # pass rate SLO for the default config on the largest grid cell
-    assert hist["pass"] / 60 > 0.2
+    assert hist["pass"] / sum(hist.values()) > 0.2
 
 
 def test_pole_floor_zero_disables_pole_rejections():
-    config = SampleConfig(seed=13, pole_floor=0.0)
-    hist = rejection_report("gr-sum", n=4, N=4, config=config, count=60)
-    assert hist["pole"] == 0
+    assert _cell_rejections(pole_floor=0.0)["pole"] == 0
 
 
 def test_condition_cap_infinite_disables_condition_rejections():
-    config = SampleConfig(seed=13, condition_cap=math.inf)
-    hist = rejection_report("gr-sum", n=4, N=4, config=config, count=60)
-    assert hist["condition"] == 0
+    assert _cell_rejections(condition_cap=math.inf)["condition"] == 0
 
 
 def test_resample_exhaustion_reports_histogram():
@@ -162,8 +164,6 @@ def test_bad_shape_fails_before_any_draw(n, N, monkeypatch):
     monkeypatch.setattr(sampler, "_draws", no_draw)
     with pytest.raises(BalancingError):
         sample_instance("gr-sum", n=n, N=N, config=SampleConfig(), trial_index=0, p=0.2)
-    with pytest.raises(BalancingError):
-        rejection_report("gr-sum", n=n, N=N, config=SampleConfig(), count=3, p=0.2)
 
 
 @pytest.mark.parametrize("n, N, trial_index", [(2, 0.7, 0), (2.5, 1, 0), (2, 1, 1.5)])
@@ -190,7 +190,10 @@ def test_overflow_is_a_condition_rejection(monkeypatch):
     def overflowing(*args, **kwargs):
         raise NonFiniteError("sum overflowed")
     monkeypatch.setattr(sampler, "evaluate_lhs", overflowing)
-    hist = rejection_report("gr-sum", n=2, N=1, config=SampleConfig(seed=3), count=5, p=0.2)
+    with pytest.raises(ResampleExhaustedError) as excinfo:
+        sample_instance("gr-sum", n=2, N=1, config=SampleConfig(seed=3, max_resamples=5),
+                        trial_index=0, p=0.2)
+    hist = excinfo.value.histogram
     assert hist["condition"] + hist["separation"] + hist["magnitude"] == 5
     assert hist["condition"] > 0
 

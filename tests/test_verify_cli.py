@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ellsum
 from ellsum import (
     IDENTITY_IDS,
     SampleConfig,
@@ -476,6 +477,12 @@ def test_cli_version(capsys):
     assert cli_main(["--version"]) == 0
 
 
+def test_every_exported_name_resolves_once():
+    assert len(ellsum.__all__) == len(set(ellsum.__all__))
+    for name in ellsum.__all__:
+        getattr(ellsum, name)  # AttributeError for a name the package lost
+
+
 def _config_report(tmp_path, text):
     config, out = tmp_path / "job.cfg", tmp_path / "report.json"
     config.write_text("identities = gr-sum\ntrials = 1\np = 0\n" + text)
@@ -532,6 +539,16 @@ def test_cli_bench_bad_input_exits_2(flags, capsys):
     named = f"argument {flag}: invalid" if flags in _BENCH_UNPARSABLE else flag.lstrip("-")
     err = capsys.readouterr().err
     assert named in err and value in err
+    assert "parse_complex_literal" not in err  # "invalid complex value: 'abc'"
+
+
+def test_cli_bench_without_an_acceptable_draw_exits_1(capsys):
+    # at p = 0.9 every draw of gr-sum at n 4 fails a gate: a mathematical
+    # failure, not a usage error
+    assert cli_main(["bench", "--identity", "gr-sum", "--n", "4", "--N", "1",
+                     "--p", "0.9"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "ellsum: gr-sum: no acceptable instance in 200 attempts")
 
 
 @pytest.mark.parametrize("field, value", [
